@@ -1,14 +1,15 @@
 //! Warm-prefix simulation throughput backing EXPERIMENTS.md's
 //! "Warm-prefix fuzzing throughput" table: how fast the simulation
 //! oracle answers fuzz inputs when every input replays the world from
-//! `t = 0`, versus forking from a copy-on-write snapshot taken at the
-//! attack-activation time, versus stepping whole batches of forks in
-//! lockstep.
+//! `t = 0` tick by tick, versus the oracle itself — forking from a
+//! copy-on-write snapshot taken at the attack-activation time and
+//! running the tail through the next-event advance — one input at a
+//! time and through its `respond_batch` entry point.
 //!
 //! All three strategies answer every input identically (asserted here),
-//! so the comparison isolates the cost of re-simulating the attacker-free
-//! prefix — the work [`WorldSnapshot`](vehicle_sim::WorldSnapshot)
-//! amortizes across inputs.
+//! so the comparison measures the work
+//! [`WorldSnapshot`](vehicle_sim::WorldSnapshot) and the idle-tick
+//! advance save per input.
 
 use std::time::Instant;
 
@@ -132,7 +133,10 @@ pub fn measure_sim_strategies(
         }
     });
 
-    // Batched forks stepped in lockstep.
+    // The oracle's `respond_batch` in fuzzer-sized chunks. The oracle
+    // keeps the trait's per-input default (lockstep lanes cannot skip
+    // idle ticks one by one), so this row differs from
+    // `fork-from-snapshot` only by the chunked dispatch.
     let mut batched = Vec::new();
     let batch = timed_row("fork-batched", count, || {
         let mut out = Vec::new();

@@ -11,11 +11,13 @@
 //!
 //! Targets are [`FuzzTarget`] oracles (closures adapt via
 //! [`ClosureTarget`]). A target with a genuinely batched
-//! [`FuzzTarget::respond_batch`] — e.g. [`crate::sim_target::SimOracle`]
-//! stepping a batch of forked simulation worlds in lockstep — can be
-//! driven with [`Fuzzer::with_batch_size`]: execution is batched, but
-//! generation, coverage recording and response accounting stay in global
-//! iteration order, so the report is bit-identical for every batch size.
+//! [`FuzzTarget::respond_batch`] can be driven with
+//! [`Fuzzer::with_batch_size`]: execution is batched, but generation,
+//! coverage recording and response accounting stay in global iteration
+//! order, so the report is bit-identical for every batch size. The
+//! simulation oracle [`crate::sim_target::SimOracle`] keeps the default
+//! per-input delegation: each input's world skips its own idle ticks,
+//! which lockstep lanes could not.
 
 use std::collections::HashSet;
 use std::ops::Range;
@@ -46,10 +48,8 @@ pub enum TargetResponse {
 
 /// A fuzz target oracle: executes inputs and reports the observed
 /// behaviour. Closures `FnMut(&[u8]) -> TargetResponse` are adapted via
-/// [`ClosureTarget`]; simulation-backed targets (see
-/// [`crate::sim_target::SimOracle`]) additionally override
-/// [`FuzzTarget::respond_batch`] so one dispatch executes many inputs —
-/// e.g. by stepping a whole batch of forked worlds in lockstep.
+/// [`ClosureTarget`]; a target may additionally override
+/// [`FuzzTarget::respond_batch`] so one dispatch executes many inputs.
 ///
 /// Contract: `respond_batch` must produce exactly the responses that
 /// sequential [`FuzzTarget::respond`] calls over the same inputs would.

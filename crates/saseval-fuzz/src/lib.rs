@@ -27,8 +27,8 @@
 //!   changing the report,
 //! * [`sim_target`] backs the oracle with the vehicle worlds: every input
 //!   forks from a copy-on-write world snapshot taken at attack-activation
-//!   time, and batches of forks step in lockstep through the
-//!   `vehicle-sim` batch module,
+//!   time, and the attacker-free prefix and tail run through the worlds'
+//!   next-event advance, which skips provably idle ticks,
 //! * [`scenario`] lifts the loop from single messages to whole
 //!   validation scenarios: a parameterized
 //!   [`scenario::ScenarioSpec`] (traffic density, platoon

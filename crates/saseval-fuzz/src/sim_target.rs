@@ -12,11 +12,14 @@
 //!   [`TargetResponse::Rejected`] (a deployed control caught the input),
 //! * otherwise [`TargetResponse::Accepted`] (absorbed without harm).
 //!
-//! The oracle's [`FuzzTarget::respond_batch`] steps all forks of one
-//! fuzzer batch as a [`KeylessBatch`]/[`ConstructionBatch`] in lockstep —
-//! bit-identical to sequential stepping by the batch module's
-//! construction — so `Fuzzer::with_batch_size` amortizes the dispatch
-//! loop without perturbing the report's determinism contract.
+//! Both the warm prefix and each post-injection tail are attacker-free,
+//! so they run through the worlds' next-event `advance_unattacked`,
+//! which skips (keyless) or reduces to kinematics (construction) every
+//! tick that provably does nothing, bit-identically to tick-by-tick
+//! stepping. Each input runs alone: the oracle keeps the trait's
+//! default per-input [`FuzzTarget::respond_batch`], because lockstep
+//! lanes cannot skip idle ticks one by one, so `Fuzzer::with_batch_size`
+//! stays report-neutral by construction.
 //!
 //! The warm prefix must be attacker-free: classification attributes log
 //! entries from [`FUZZ_SENDER`] to the injected input, which holds
@@ -27,7 +30,7 @@ use saseval_types::SimTime;
 use vehicle_net::v2x::V2xMessage;
 use vehicle_sim::construction::{ConstructionConfig, ConstructionWorld};
 use vehicle_sim::keyless::{KeylessConfig, KeylessWorld};
-use vehicle_sim::{ConstructionBatch, KeylessBatch, WorldSnapshot};
+use vehicle_sim::WorldSnapshot;
 
 use crate::fuzzer::{FuzzTarget, TargetResponse};
 
@@ -115,44 +118,14 @@ impl FuzzTarget for SimOracle {
             Scenario::Keyless(snapshot) => {
                 let mut world = snapshot.fork();
                 world.send_ble(FUZZ_SENDER, input.to_vec());
-                while world.step(&mut ()) {}
+                world.advance_unattacked(SimTime::MAX);
                 classify_keyless(world)
             }
             Scenario::Construction(snapshot) => {
                 let mut world = snapshot.fork();
                 inject_construction(&mut world, input);
-                while world.step(&mut ()) {}
+                world.advance_unattacked(SimTime::MAX);
                 classify_construction(world)
-            }
-        }
-    }
-
-    fn respond_batch(&mut self, inputs: &[Vec<u8>], out: &mut Vec<TargetResponse>) {
-        out.clear();
-        match &self.scenario {
-            Scenario::Keyless(snapshot) => {
-                let worlds = inputs
-                    .iter()
-                    .map(|input| {
-                        let mut world = snapshot.fork();
-                        world.send_ble(FUZZ_SENDER, input.clone());
-                        world
-                    })
-                    .collect();
-                let finished = KeylessBatch::new(worlds).run(&mut |_, _, _| {});
-                out.extend(finished.into_iter().map(classify_keyless));
-            }
-            Scenario::Construction(snapshot) => {
-                let worlds = inputs
-                    .iter()
-                    .map(|input| {
-                        let mut world = snapshot.fork();
-                        inject_construction(&mut world, input);
-                        world
-                    })
-                    .collect();
-                let finished = ConstructionBatch::new(worlds).run(&mut |_, _, _| {});
-                out.extend(finished.into_iter().map(classify_construction));
             }
         }
     }

@@ -295,6 +295,24 @@ impl BleLink {
         self.jam_until.is_some_and(|until| t < until)
     }
 
+    /// The earliest instant at which [`BleLink::poll`] can change the
+    /// link: the next in-flight arrival (delivered, or counted lost
+    /// inside a jam window) or, while connected, the first instant the
+    /// supervision check fires — `last_activity + timeout + 1 µs`, since
+    /// the drop test is a strict `>`. `None` when neither exists. Jam
+    /// windows raise no wake-up of their own: they only filter arrivals.
+    ///
+    /// A poll at any `now` before this instant delivers nothing, drops
+    /// nothing and leaves the link unchanged, so a caller stepping in
+    /// fixed ticks may skip every poll before it.
+    pub fn next_wake_up(&self) -> Option<SimTime> {
+        let arrival = self.in_flight.iter().map(|(arrival, _)| *arrival).min();
+        let supervision = self
+            .is_connected()
+            .then(|| self.last_activity + self.config.supervision_timeout + Ftti::from_micros(1));
+        arrival.into_iter().chain(supervision).min()
+    }
+
     /// Cumulative statistics.
     pub fn stats(&self) -> BleStats {
         self.stats
@@ -438,6 +456,58 @@ mod tests {
         // `rng.random_bool`.
         let link = BleLink::new(config, 1);
         assert_eq!(link.config().loss_prob, 0.0);
+    }
+
+    #[test]
+    fn wake_up_is_the_next_arrival() {
+        let mut link = connected();
+        link.send("phone", Bytes::from_static(b"x"), SimTime::from_millis(5)).unwrap();
+        // Arrival at 6 ms comes before the supervision deadline.
+        assert_eq!(link.next_wake_up(), Some(SimTime::from_millis(6)));
+        link.poll(SimTime::from_millis(6));
+        // Delivered: only the supervision deadline remains, measured
+        // from the delivery.
+        assert_eq!(link.next_wake_up(), Some(SimTime::from_micros(106_001)));
+    }
+
+    #[test]
+    fn wake_up_lands_on_the_strict_supervision_boundary() {
+        let mut link = connected();
+        let deadline = SimTime::from_micros(100_001);
+        assert_eq!(link.next_wake_up(), Some(deadline));
+        // Exactly `timeout` after the last activity the link survives …
+        link.poll(SimTime::from_millis(100));
+        assert!(link.is_connected());
+        assert_eq!(link.next_wake_up(), Some(deadline));
+        // … and 1 µs later it drops; an advertising link never wakes.
+        link.poll(deadline);
+        assert!(!link.is_connected());
+        assert_eq!(link.next_wake_up(), None);
+    }
+
+    #[test]
+    fn jam_raises_no_wake_up() {
+        let mut link = BleLink::new(lossless(), 1);
+        link.start_advertising(SimTime::ZERO);
+        link.jam(SimTime::from_secs(10));
+        assert_eq!(link.next_wake_up(), None, "the end of a jam window is no event");
+        link.connect("phone", SimTime::from_secs(11)).unwrap();
+        link.jam(SimTime::from_secs(20));
+        // A frame sent into the jam is lost at send: nothing in flight.
+        link.send("phone", Bytes::from_static(b"x"), SimTime::from_secs(12)).unwrap();
+        assert_eq!(link.next_wake_up(), Some(SimTime::from_micros(11_100_001)));
+    }
+
+    #[test]
+    fn wake_up_counts_frames_a_jam_will_drop() {
+        let mut link = connected();
+        link.send("phone", Bytes::from_static(b"x"), SimTime::ZERO).unwrap();
+        link.jam(SimTime::from_millis(50));
+        // The arrival is still an event: the poll counts it lost.
+        assert_eq!(link.next_wake_up(), Some(SimTime::from_millis(1)));
+        assert!(link.poll(SimTime::from_millis(1)).is_empty());
+        assert_eq!(link.stats().lost, 1);
+        assert_eq!(link.next_wake_up(), Some(SimTime::from_micros(100_001)));
     }
 
     #[test]

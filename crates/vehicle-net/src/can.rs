@@ -328,6 +328,13 @@ impl CanBus {
         self.queues.get(node).map_or(0, VecDeque::len)
     }
 
+    /// Whether no frame is queued on any node. [`CanBus::advance`] on an
+    /// idle bus delivers nothing and leaves the bus unchanged, so a
+    /// caller stepping in fixed ticks may skip it.
+    pub fn is_idle(&self) -> bool {
+        self.queues.values().all(VecDeque::is_empty)
+    }
+
     /// Cumulative statistics.
     pub fn stats(&self) -> CanBusStats {
         self.stats
@@ -477,6 +484,27 @@ mod tests {
         assert_eq!(snapshot.counter("net.can.arbitrated"), Some(1));
         assert_eq!(snapshot.counter("net.can.bus_off"), Some(1), "bus-off counted once");
         assert_eq!(snapshot.events[0].name, "net.can.bus_off");
+    }
+
+    #[test]
+    fn idle_tracks_queued_frames() {
+        let mut bus = CanBus::new(CanBusConfig { bitrate_bps: 500_000, tx_queue_depth: 1 });
+        assert!(bus.is_idle());
+        bus.submit(frame(1, "n"), SimTime::ZERO).unwrap();
+        assert!(!bus.is_idle());
+        // A dropped frame adds nothing to the queues.
+        bus.submit(frame(1, "n"), SimTime::ZERO).unwrap_err();
+        // Not yet transmitted: still busy.
+        assert!(bus.advance(SimTime::from_micros(100)).is_empty());
+        assert!(!bus.is_idle());
+        assert_eq!(bus.advance(SimTime::from_millis(1)).len(), 1);
+        assert!(bus.is_idle());
+        // Bus-off discards the pending frames: idle again.
+        bus.submit(frame(1, "m"), SimTime::ZERO).unwrap();
+        for _ in 0..32 {
+            bus.report_error("m");
+        }
+        assert!(bus.is_idle());
     }
 
     #[test]

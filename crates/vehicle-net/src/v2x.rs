@@ -240,6 +240,13 @@ impl V2xChannel {
         self.jam_until.is_some_and(|until| t < until)
     }
 
+    /// Whether nothing is in flight. [`V2xChannel::poll`] on an idle
+    /// channel delivers nothing and leaves the channel unchanged, so a
+    /// caller stepping in fixed ticks may skip it.
+    pub fn is_idle(&self) -> bool {
+        self.in_flight.is_empty()
+    }
+
     /// Cumulative statistics.
     pub fn stats(&self) -> V2xStats {
         self.stats
@@ -361,6 +368,30 @@ mod tests {
         let mut ch = V2xChannel::new(config, 1);
         assert_eq!(ch.config().loss_prob, 1.0);
         assert_eq!(ch.broadcast(msg("RSU", SimTime::ZERO), SimTime::ZERO), None);
+    }
+
+    #[test]
+    fn idle_tracks_in_flight_messages() {
+        let mut ch = V2xChannel::new(lossless(), 1);
+        assert!(ch.is_idle());
+        ch.broadcast(msg("RSU", SimTime::ZERO), SimTime::ZERO).unwrap();
+        assert!(!ch.is_idle());
+        assert!(ch.poll(SimTime::from_micros(999)).is_empty());
+        assert!(!ch.is_idle(), "not yet arrived");
+        assert_eq!(ch.poll(SimTime::from_millis(1)).len(), 1);
+        assert!(ch.is_idle());
+        // A frame lost at send never enters the channel …
+        ch.jam(SimTime::from_millis(10));
+        assert!(ch
+            .broadcast(msg("RSU", SimTime::from_millis(2)), SimTime::from_millis(2))
+            .is_none());
+        assert!(ch.is_idle());
+        // … but one in flight when the jam starts stays until polled.
+        ch.broadcast(msg("RSU", SimTime::from_millis(20)), SimTime::from_millis(20)).unwrap();
+        ch.jam(SimTime::from_millis(30));
+        assert!(!ch.is_idle());
+        assert!(ch.poll(SimTime::from_millis(21)).is_empty());
+        assert!(ch.is_idle());
     }
 
     #[test]

@@ -354,18 +354,21 @@ impl ConstructionWorld {
         .with_auth_tag(tag.raw())
     }
 
-    fn rsu_tick(&mut self) {
+    /// Whether the RSU broadcasts on this tick: the vehicle is in range
+    /// of the site and the warning period has elapsed.
+    fn rsu_broadcast_due(&self) -> bool {
         let distance_to_site = self.config.site_position_m - self.vehicle.position_m();
         if distance_to_site > self.config.rsu_range_m || distance_to_site <= 0.0 {
+            return false;
+        }
+        self.next_broadcast.is_none_or(|at| self.now >= at)
+    }
+
+    fn rsu_tick(&mut self) {
+        if !self.rsu_broadcast_due() {
             return;
         }
-        let due = match self.next_broadcast {
-            None => true,
-            Some(at) => self.now >= at,
-        };
-        if !due {
-            return;
-        }
+        let distance_to_site = self.config.site_position_m - self.vehicle.position_m();
         self.next_broadcast = Some(self.now + self.config.warn_period);
         let distance_dm = (distance_to_site / 10.0).clamp(0.0, 255.0) as u8;
         let warning = self.signed_message(RSU_SENDER, &[MSG_ROADWORKS, distance_dm], self.now);
@@ -412,10 +415,7 @@ impl ConstructionWorld {
     /// transmitting once they pass the road origin. With both counts at
     /// zero (the default) this is a no-op that draws no channel RNG.
     fn traffic_tick(&mut self) {
-        if self.config.background_senders == 0 && self.config.platoon_followers == 0 {
-            return;
-        }
-        if !self.ticks.is_multiple_of(Self::STATUS_PERIOD_TICKS) {
+        if !self.traffic_due() {
             return;
         }
         for i in 0..self.config.background_senders {
@@ -440,6 +440,12 @@ impl ConstructionWorld {
             );
             self.channel.broadcast(msg, self.now);
         }
+    }
+
+    /// Whether background or platoon senders broadcast on this tick.
+    fn traffic_due(&self) -> bool {
+        (self.config.background_senders > 0 || self.config.platoon_followers > 0)
+            && self.ticks.is_multiple_of(Self::STATUS_PERIOD_TICKS)
     }
 
     fn obu_tick(&mut self) {
@@ -645,6 +651,34 @@ impl ConstructionWorld {
         while self.now < until && self.step(attacker) {}
     }
 
+    /// Attacker-free [`ConstructionWorld::run_until`] with quiet ticks
+    /// reduced to their kinematics; pass [`SimTime::MAX`] to run to the
+    /// end condition. The world ends bit-identical to
+    /// `run_until(until, &mut ())` — state, trace, security log, channel
+    /// statistics, `now` and the tick count.
+    ///
+    /// The vehicle moves every tick, so no time is skipped. A tick is
+    /// quiet when no RSU broadcast is due at the current position, no
+    /// traffic broadcast is due, the channel has nothing in flight and
+    /// the OBU queue is empty: its RSU, traffic and OBU phases then do
+    /// nothing, and only the driver decision, the same kinematics
+    /// integration and the commit run.
+    pub fn advance_unattacked(&mut self, until: SimTime) {
+        while self.now < until && !self.is_done() {
+            let quiet = !self.rsu_broadcast_due()
+                && !self.traffic_due()
+                && self.channel.is_idle()
+                && self.obu_queue.is_empty();
+            if quiet {
+                self.driver_decision_tick();
+            } else {
+                self.pre_kinematics_tick();
+            }
+            self.vehicle.step(self.config.tick);
+            self.commit_tick();
+        }
+    }
+
     /// Deep-copies the world; the fork replays bit-identically to a
     /// from-scratch run brought to the same state, then diverges
     /// independently.
@@ -667,7 +701,7 @@ impl ConstructionWorld {
         at: SimTime,
     ) -> crate::WorldSnapshot<ConstructionWorld> {
         let mut world = ConstructionWorld::new(config);
-        world.run_until(at, &mut ());
+        world.advance_unattacked(at);
         world.snapshot()
     }
 

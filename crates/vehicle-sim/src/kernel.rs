@@ -1,10 +1,14 @@
 //! Discrete-event kernel: a deterministic time-ordered event queue.
 //!
-//! The worlds in this crate are tick-driven for their continuous parts
-//! (kinematics) but use an [`EventQueue`] for discrete scheduling (RSU
-//! broadcast slots, driver take-over completion, attack activation
-//! times). Events at equal times dequeue in insertion order, keeping runs
-//! bit-for-bit reproducible.
+//! The worlds in this crate step in fixed ticks. The keyless world keeps
+//! its owner script (scheduled open and close actions) in an
+//! [`EventQueue`], whose [`EventQueue::next_time`] is one of the wake-ups
+//! of its attacker-free next-event advance. The construction world needs
+//! no queue: an RSU broadcast is due when its `next_broadcast` deadline
+//! passes, and a driver take-over completes at the `complete_at` carried
+//! by `ControlMode::TakeOverRequested`. Attack activation times live in
+//! the attacker hooks. Events at equal times dequeue in insertion order,
+//! keeping runs bit-for-bit reproducible.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -322,6 +322,11 @@ impl KeylessWorld {
         &mut self.link
     }
 
+    /// The gateway-to-lock CAN bus (read-only: queues and statistics).
+    pub fn can_bus(&self) -> &CanBus {
+        &self.can
+    }
+
     /// All payloads ever sent on the radio — the attacker's eavesdropping
     /// feed (replay attacks record from here).
     pub fn sniffed(&self) -> &[Vec<u8>] {
@@ -583,6 +588,38 @@ impl KeylessWorld {
         while self.now < until && self.step(attacker) {}
     }
 
+    /// Attacker-free [`KeylessWorld::run_until`] as a next-event time
+    /// advance; pass [`SimTime::MAX`] to run to the horizon. The world
+    /// ends bit-identical to `run_until(until, &mut ())` — state, trace,
+    /// security log, link and bus statistics, `now` and the tick count.
+    ///
+    /// The keyless world has no continuous state, so a tick in which no
+    /// owner action is due, the link has nothing to deliver or supervise
+    /// and the CAN bus is idle does nothing but advance time. While the
+    /// bus is idle, `now` therefore jumps in one step to the first tick
+    /// at or after the earliest of the owner script's head, the link's
+    /// [`BleLink::next_wake_up`] and the end, and the skipped ticks are
+    /// still counted.
+    pub fn advance_unattacked(&mut self, until: SimTime) {
+        let end = until.min(SimTime::ZERO + self.config.horizon);
+        while self.now < end {
+            if self.can.is_idle() {
+                let wake = [self.owner_script.next_time(), self.link.next_wake_up()]
+                    .into_iter()
+                    .flatten()
+                    .fold(end, SimTime::min);
+                let idle_ticks =
+                    (wake - self.now).as_micros().div_ceil(self.config.tick.as_micros());
+                if idle_ticks > 0 {
+                    self.now += self.config.tick.saturating_mul(idle_ticks);
+                    self.ticks += idle_ticks;
+                    continue;
+                }
+            }
+            self.tick_body();
+        }
+    }
+
     /// Deep-copies the world; the fork replays bit-identically to a
     /// from-scratch run brought to the same state, then diverges
     /// independently (owner script, challenge nonces and replay caches
@@ -603,7 +640,7 @@ impl KeylessWorld {
     /// construction.
     pub fn warm_snapshot(config: KeylessConfig, at: SimTime) -> crate::WorldSnapshot<KeylessWorld> {
         let mut world = KeylessWorld::new(config);
-        world.run_until(at, &mut ());
+        world.advance_unattacked(at);
         world.snapshot()
     }
 

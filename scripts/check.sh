@@ -60,9 +60,9 @@ cmp "$SERVER_OUT/first.json" "$SERVER_OUT/second.json"
 echo "    cache hit payload is byte-identical"
 
 echo "==> campaign server gate: 16 concurrent identical submits coalesce onto one execution"
-# A long fresh job (~1.5 s) so all 16 CLI submits arrive while it is
-# still in flight; 15 of them must attach to the single execution, and
-# every payload must be byte-identical.
+# A long fresh job (~0.4 s on a 2-core Xeon host) so all 16 CLI submits
+# arrive while it is still in flight; 15 of them must attach to the
+# single execution, and every payload must be byte-identical.
 COALESCE_JOB='{"Fuzz":{"scenario":{"Keyless":{"controls":"All","horizon_ms":300,"attack_at_ms":100}},"iterations":524288,"seed":99}}'
 COALESCE_PIDS=()
 for i in $(seq 1 16); do

@@ -9,15 +9,25 @@
 //! 3. the frozen snapshot itself never advances;
 //! 4. fuzzing through the simulation oracle produces bit-identical
 //!    reports whether inputs execute one by one, in batches, or across
-//!    shards with batches.
+//!    shards with batches;
+//! 5. from the same fork, the attacker-free next-event advance
+//!    (`advance_unattacked`, which skips or shortens provably idle
+//!    ticks) ends exactly where tick-by-tick `step(&mut ())` does:
+//!    outcome, trace, security log, `now`, every obs counter and event
+//!    (`world.*.ticks` included), and link, bus and channel statistics.
 
+use bytes::Bytes;
 use proptest::prelude::*;
 
 use saseval::fuzz::fuzzer::Fuzzer;
 use saseval::fuzz::model::keyless_command_model;
 use saseval::fuzz::sim_target::SimOracle;
-use saseval::sim::construction::{ConstructionConfig, ConstructionWorld};
-use saseval::sim::keyless::{KeylessConfig, KeylessWorld};
+use saseval::net::ble::BleConfig;
+use saseval::net::v2x::{V2xConfig, V2xMessage};
+use saseval::obs::Obs;
+use saseval::sim::construction::{ConstructionConfig, ConstructionWorld, MSG_RELEASE};
+use saseval::sim::keyless::{Command, KeylessConfig, KeylessWorld, CMD_OPEN, CMD_SERVICE};
+use saseval::sim::vehicle::ControlMode;
 use saseval::sim::ControlSelection;
 use saseval::tara::tree::{AttackTree, TreeNode};
 use saseval::tara::AttackPath;
@@ -202,4 +212,362 @@ fn sharded_batched_fuzzing_is_deterministic_and_batch_invariant() {
         assert_eq!(unbatched, run(1), "{shards} shards reproducible");
         assert_eq!(unbatched, run(8), "{shards} shards, batch 8");
     }
+}
+
+// ---------------------------------------------------------------------
+// Property 5: the attacker-free next-event advance equals tick-by-tick
+// stepping from the same fork.
+// ---------------------------------------------------------------------
+
+/// BLE profiles: nominal, lossy and jammed (the scenario model's
+/// channel profiles).
+fn ble_profile(selector: u8) -> BleConfig {
+    match selector % 3 {
+        0 => BleConfig::default(),
+        1 => BleConfig { latency_us: 10_000, loss_prob: 0.08, ..BleConfig::default() },
+        _ => BleConfig { latency_us: 20_000, loss_prob: 0.40, ..BleConfig::default() },
+    }
+}
+
+/// V2X profiles: nominal, lossy and jammed.
+fn v2x_profile(selector: u8) -> V2xConfig {
+    match selector % 3 {
+        0 => ConstructionConfig::default().v2x,
+        1 => V2xConfig { latency_us: 5_000, jitter_us: 1_500, loss_prob: 0.10 },
+        _ => V2xConfig { latency_us: 10_000, jitter_us: 3_000, loss_prob: 0.45 },
+    }
+}
+
+/// What is injected at the fork point, before the attacker-free tail.
+#[derive(Debug, Clone)]
+enum KeylessInjection {
+    Nothing,
+    /// One raw payload, as the fuzz oracle injects.
+    Raw(Vec<u8>),
+    /// A forged open command under a foreign key.
+    ForgedOpen,
+    /// `n` service requests: with flood protection off they back up
+    /// on the CAN bus.
+    ServiceFlood(usize),
+}
+
+fn keyless_injection() -> impl Strategy<Value = KeylessInjection> {
+    prop_oneof![
+        Just(KeylessInjection::Nothing),
+        proptest::collection::vec(any::<u8>(), 0..40).prop_map(KeylessInjection::Raw),
+        Just(KeylessInjection::ForgedOpen),
+        (1usize..80).prop_map(KeylessInjection::ServiceFlood),
+    ]
+}
+
+fn inject_keyless(world: &mut KeylessWorld, injection: &KeylessInjection, jam_ms: Option<u64>) {
+    let now = world.now();
+    if let Some(ms) = jam_ms {
+        world.link_mut().jam(now + Ftti::from_millis(ms));
+    }
+    match injection {
+        KeylessInjection::Nothing => {}
+        KeylessInjection::Raw(bytes) => world.send_ble("FUZZ", bytes.clone()),
+        KeylessInjection::ForgedOpen => {
+            let cmd =
+                Command { cmd: CMD_OPEN, key_id: 0xBAD, ts: now.as_micros(), response: 0, tag: 0 };
+            world.send_ble("FUZZ", cmd.encode());
+        }
+        KeylessInjection::ServiceFlood(n) => {
+            let cmd = Command { cmd: CMD_SERVICE, key_id: 0, ts: 0, response: 0, tag: 0 };
+            for _ in 0..*n {
+                world.send_ble("FUZZ", cmd.encode());
+            }
+        }
+    }
+}
+
+/// Everything the equivalence compares of a keyless world, consuming
+/// it: outcome JSON last, because it flushes the tick counters.
+fn keyless_observation(mut world: KeylessWorld, recorder: &saseval::obs::MemoryRecorder) -> String {
+    let link = (world.link_mut().stats(), world.link_mut().state().clone());
+    let head = json(&(
+        world.now(),
+        world.trace(),
+        world.security_log().events(),
+        link,
+        world.can_bus().stats(),
+    ));
+    let outcome = json(&world.into_outcome());
+    format!("{head}\n{outcome}\n{}", json(&recorder.snapshot()))
+}
+
+/// Runs `fork` both ways — tick by tick and with the next-event
+/// advance — through each checkpoint in turn and then to the end,
+/// comparing every observable at each stop. A wake-up that comes too
+/// late shows at a checkpoint inside the window it skipped wrongly.
+fn assert_keyless_advance_equivalent(fork: &KeylessWorld, checkpoints: &[SimTime]) {
+    let (obs_ticked, rec_ticked) = Obs::memory();
+    let (obs_advanced, rec_advanced) = Obs::memory();
+    let mut ticked = fork.clone().with_obs(obs_ticked);
+    let mut advanced = fork.clone().with_obs(obs_advanced);
+
+    for &at in checkpoints {
+        ticked.run_until(at, &mut ());
+        advanced.advance_unattacked(at);
+        assert_eq!(advanced.now(), ticked.now(), "now after advancing to {at}");
+        assert_eq!(advanced.trace(), ticked.trace(), "trace at {at}");
+        assert_eq!(advanced.security_log().events(), ticked.security_log().events());
+        assert_eq!(advanced.link_mut().stats(), ticked.link_mut().stats(), "link at {at}");
+        assert_eq!(advanced.link_mut().state(), ticked.link_mut().state(), "link at {at}");
+        assert_eq!(advanced.can_bus().stats(), ticked.can_bus().stats(), "bus at {at}");
+    }
+
+    while ticked.step(&mut ()) {}
+    advanced.advance_unattacked(SimTime::MAX);
+    assert!(advanced.is_done());
+    assert_eq!(
+        keyless_observation(advanced, &rec_advanced),
+        keyless_observation(ticked, &rec_ticked)
+    );
+}
+
+#[derive(Debug, Clone)]
+enum ConstructionInjection {
+    Nothing,
+    /// One unsigned raw payload, as the fuzz oracle injects.
+    Raw(Vec<u8>),
+    /// A correctly signed control release from an authenticated
+    /// attacker.
+    SignedRelease,
+    /// `n` signed messages at once: enough to overflow the OBU queue.
+    Flood(usize),
+}
+
+fn construction_injection() -> impl Strategy<Value = ConstructionInjection> {
+    prop_oneof![
+        Just(ConstructionInjection::Nothing),
+        proptest::collection::vec(any::<u8>(), 0..8).prop_map(ConstructionInjection::Raw),
+        Just(ConstructionInjection::SignedRelease),
+        (1usize..400).prop_map(ConstructionInjection::Flood),
+    ]
+}
+
+fn inject_construction(
+    world: &mut ConstructionWorld,
+    injection: &ConstructionInjection,
+    jam_ms: Option<u64>,
+) {
+    let now = world.now();
+    if let Some(ms) = jam_ms {
+        world.channel_mut().jam(now + Ftti::from_millis(ms));
+    }
+    match injection {
+        ConstructionInjection::Nothing => {}
+        ConstructionInjection::Raw(bytes) => {
+            let kind = u16::from(bytes.first().copied().unwrap_or(0));
+            let msg = V2xMessage::new("FUZZ", kind, Bytes::copy_from_slice(bytes), now);
+            world.channel_mut().broadcast(msg, now);
+        }
+        ConstructionInjection::SignedRelease => {
+            let msg = world.signed_message("RSU-EVIL", &[MSG_RELEASE], now);
+            world.channel_mut().broadcast(msg, now);
+        }
+        ConstructionInjection::Flood(n) => {
+            for _ in 0..*n {
+                let msg = world.signed_message("RSU-EVIL", &[MSG_RELEASE], now);
+                world.channel_mut().broadcast(msg, now);
+            }
+        }
+    }
+}
+
+fn construction_observation(
+    mut world: ConstructionWorld,
+    recorder: &saseval::obs::MemoryRecorder,
+) -> String {
+    let channel = world.channel_mut().stats();
+    let head = json(&(
+        world.now(),
+        world.trace(),
+        world.security_log().events(),
+        channel,
+        world.vehicle().position_m().to_bits(),
+        world.vehicle().speed_mps().to_bits(),
+    ));
+    let outcome = json(&world.into_outcome());
+    format!("{head}\n{outcome}\n{}", json(&recorder.snapshot()))
+}
+
+fn assert_construction_advance_equivalent(fork: &ConstructionWorld, checkpoints: &[SimTime]) {
+    let (obs_ticked, rec_ticked) = Obs::memory();
+    let (obs_advanced, rec_advanced) = Obs::memory();
+    let mut ticked = fork.clone().with_obs(obs_ticked);
+    let mut advanced = fork.clone().with_obs(obs_advanced);
+
+    for &at in checkpoints {
+        ticked.run_until(at, &mut ());
+        advanced.advance_unattacked(at);
+        assert_eq!(advanced.now(), ticked.now(), "now after advancing to {at}");
+        assert_eq!(advanced.trace(), ticked.trace(), "trace at {at}");
+        assert_eq!(advanced.security_log().events(), ticked.security_log().events());
+        assert_eq!(advanced.channel_mut().stats(), ticked.channel_mut().stats(), "channel at {at}");
+        assert_eq!(
+            advanced.vehicle().position_m().to_bits(),
+            ticked.vehicle().position_m().to_bits(),
+            "position at {at}"
+        );
+    }
+
+    while ticked.step(&mut ()) {}
+    advanced.advance_unattacked(SimTime::MAX);
+    assert!(advanced.is_done());
+    assert_eq!(
+        construction_observation(advanced, &rec_advanced),
+        construction_observation(ticked, &rec_ticked)
+    );
+}
+
+/// Sorted checkpoint times spread over `fork_ms..horizon_ms` (in
+/// thousandths of that span), in microseconds so they fall off the
+/// tick grid as often as on it.
+fn checkpoint_times(fork_ms: u64, horizon_ms: u64, mut permille: Vec<u64>) -> Vec<SimTime> {
+    permille.sort_unstable();
+    let span_us = (horizon_ms - fork_ms) * 1_000;
+    permille
+        .into_iter()
+        .map(|p| SimTime::from_micros(fork_ms * 1_000 + span_us * p / 1_000))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Keyless: owner scripts, lossy and jammed links, active jam
+    /// windows, supervision drops inside long horizons and CAN
+    /// backlogs from service floods.
+    #[test]
+    fn keyless_next_event_advance_matches_ticking(
+        seed in any::<u64>(),
+        controls in 0u8..3,
+        ble in 0u8..3,
+        horizon_ms in 200u64..7_000,
+        fork_permille in 0u64..1_000,
+        checkpoint_permille in proptest::collection::vec(0u64..1_000, 0..8),
+        open_ms in proptest::option::of(0u64..7_000),
+        close_ms in proptest::option::of(0u64..7_000),
+        injection in keyless_injection(),
+        jam_ms in proptest::option::of(0u64..3_000),
+    ) {
+        let config = KeylessConfig {
+            seed,
+            controls: controls_for(controls),
+            ble: ble_profile(ble),
+            horizon: Ftti::from_millis(horizon_ms),
+            ..Default::default()
+        };
+        let mut world = KeylessWorld::new(config);
+        if let Some(ms) = open_ms {
+            world.schedule_owner_open(SimTime::from_millis(ms));
+        }
+        if let Some(ms) = close_ms {
+            world.schedule_owner_close(SimTime::from_millis(ms));
+        }
+        let fork_ms = horizon_ms * fork_permille / 1_000;
+        world.run_until(SimTime::from_millis(fork_ms), &mut ());
+        inject_keyless(&mut world, &injection, jam_ms);
+        let checkpoints = checkpoint_times(fork_ms, horizon_ms, checkpoint_permille);
+        assert_keyless_advance_equivalent(&world, &checkpoints);
+    }
+
+    /// Construction: background senders, platoon followers, extra RSUs,
+    /// lossy and jammed channels, jam windows, OBU floods, take-overs
+    /// in progress at the fork and zone entry.
+    #[test]
+    fn construction_quiet_tick_advance_matches_ticking(
+        seed in any::<u64>(),
+        controls in 0u8..3,
+        v2x in 0u8..3,
+        (background, platoon, spacing, extra_rsus) in (0u16..4, 0u16..3, 10u16..50, 0u16..3),
+        site_m in 150u16..1_500,
+        speed in 15.0f64..35.0,
+        horizon_s in 2u64..70,
+        fork_permille in 0u64..1_000,
+        checkpoint_permille in proptest::collection::vec(0u64..1_000, 0..8),
+        injection in construction_injection(),
+        jam_ms in proptest::option::of(0u64..3_000),
+    ) {
+        let config = ConstructionConfig {
+            seed,
+            controls: controls_for(controls),
+            v2x: v2x_profile(v2x),
+            background_senders: background,
+            platoon_followers: platoon,
+            platoon_spacing_m: f64::from(spacing),
+            extra_rsus,
+            site_position_m: f64::from(site_m),
+            initial_speed_mps: speed,
+            horizon: Ftti::from_secs(horizon_s),
+            ..Default::default()
+        };
+        let mut world = ConstructionWorld::new(config);
+        let horizon_ms = horizon_s * 1_000;
+        let fork_ms = horizon_ms * fork_permille / 1_000;
+        world.run_until(SimTime::from_millis(fork_ms), &mut ());
+        inject_construction(&mut world, &injection, jam_ms);
+        let checkpoints = checkpoint_times(fork_ms, horizon_ms, checkpoint_permille);
+        assert_construction_advance_equivalent(&world, &checkpoints);
+    }
+}
+
+/// A long keyless tail: the injected frame connects the link at 1.2 s,
+/// is delivered at the 1.21 s tick, and supervision drops the link at
+/// the first tick more than 2 s after its 1.205 s arrival — 3.21 s.
+/// The checkpoint one tick later sees a drop that came late.
+#[test]
+fn keyless_advance_crosses_a_supervision_drop() {
+    let config = KeylessConfig { horizon: Ftti::from_secs(5), ..Default::default() };
+    let mut world = KeylessWorld::new(config);
+    world.run_until(SimTime::from_millis(1_200), &mut ());
+    inject_keyless(&mut world, &KeylessInjection::Raw(vec![1, 2, 3]), None);
+    let mut ticked = world.clone();
+    while ticked.step(&mut ()) {}
+    assert_eq!(ticked.link_mut().stats().supervision_drops, 1, "the drop lies inside the horizon");
+    assert_keyless_advance_equivalent(&world, &[SimTime::from_millis(3_215)]);
+}
+
+/// A service flood with flood protection off backs the CAN bus up
+/// across several ticks; the advance only skips once it has drained.
+#[test]
+fn keyless_advance_waits_for_a_can_backlog() {
+    let config = KeylessConfig {
+        controls: ControlSelection::none(),
+        horizon: Ftti::from_secs(2),
+        ..Default::default()
+    };
+    let mut world = KeylessWorld::new(config);
+    world.schedule_owner_open(SimTime::from_millis(120));
+    world.run_until(SimTime::from_millis(100), &mut ());
+    inject_keyless(&mut world, &KeylessInjection::ServiceFlood(64), None);
+    let mut probe = world.clone();
+    probe.run_until(SimTime::from_millis(120), &mut ());
+    assert!(!probe.can_bus().is_idle(), "the flood is still queued on the bus");
+    assert_keyless_advance_equivalent(&world, &[SimTime::from_millis(130)]);
+}
+
+/// A fork taken while the driver is reacting to a take-over request,
+/// run to zone entry at the default 1500 m site.
+#[test]
+fn construction_advance_through_takeover_to_zone_entry() {
+    let config = ConstructionConfig { horizon: Ftti::from_secs(100), ..Default::default() };
+    let mut world = ConstructionWorld::new(config);
+    world.run_until(SimTime::from_secs(29), &mut ());
+    assert!(
+        matches!(world.mode(), ControlMode::TakeOverRequested { .. }),
+        "take-over in progress at the fork: {:?}",
+        world.mode()
+    );
+    inject_construction(&mut world, &ConstructionInjection::Raw(vec![2, 200]), None);
+    let mut ticked = world.clone();
+    while ticked.step(&mut ()) {}
+    assert!(ticked.vehicle().position_m() >= 1_500.0, "zone entered");
+    assert_construction_advance_equivalent(
+        &world,
+        &[SimTime::from_secs(30), SimTime::from_secs(40)],
+    );
 }
