@@ -1,5 +1,8 @@
 //! Attacks on the keyless-opener BLE/gateway path (Use Case II).
 
+use std::sync::Arc;
+
+use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use saseval_types::SimTime;
@@ -109,21 +112,34 @@ impl AttackerHook<KeylessWorld> for ReplayOpen {
 pub struct ServiceFlood {
     /// Service requests per tick.
     pub per_tick: usize,
+    /// The attacker's identity and the encoded request, built once and
+    /// shared by every injected frame.
+    sender: Arc<str>,
+    request: Bytes,
 }
 
 impl ServiceFlood {
+    /// Creates the flood sending `per_tick` service requests per tick.
+    pub fn new(per_tick: usize) -> Self {
+        let request = Command { cmd: CMD_SERVICE, key_id: 0, ts: 0, response: 0, tag: 0 };
+        ServiceFlood {
+            per_tick,
+            sender: Arc::from("attacker"),
+            request: Bytes::from(request.encode()),
+        }
+    }
+
     /// AD14's parameters: 30 requests per tick (3 000/s at a 10 ms tick),
     /// beyond the 125 kbit/s CAN bus's frame capacity.
     pub fn ad14() -> Self {
-        ServiceFlood { per_tick: 30 }
+        ServiceFlood::new(30)
     }
 }
 
 impl AttackerHook<KeylessWorld> for ServiceFlood {
     fn on_tick(&mut self, world: &mut KeylessWorld, _now: SimTime) {
         for _ in 0..self.per_tick {
-            let cmd = Command { cmd: CMD_SERVICE, key_id: 0, ts: 0, response: 0, tag: 0 };
-            world.send_ble("attacker", cmd.encode());
+            world.send_ble(Arc::clone(&self.sender), self.request.clone());
         }
     }
 }

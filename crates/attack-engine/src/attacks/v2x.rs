@@ -1,5 +1,8 @@
 //! Attacks on the RSU–OBU V2X interface (Use Case I).
 
+use std::sync::Arc;
+
+use bytes::Bytes;
 use saseval_types::{Ftti, SimTime};
 use vehicle_net::v2x::V2xMessage;
 use vehicle_sim::construction::{ConstructionWorld, MSG_ROADWORKS, MSG_SIGNAGE};
@@ -14,8 +17,8 @@ use vehicle_sim::AttackerHook;
 /// road-works messages per tick under its own sender identity.
 #[derive(Debug, Clone)]
 pub struct AuthenticatedFlood {
-    /// The attacker's sender identity.
-    pub sender: String,
+    /// The attacker's sender identity, shared by every injected message.
+    pub sender: Arc<str>,
     /// Messages injected per tick.
     pub per_tick: usize,
     /// Distance to the site below which the attack runs (the
@@ -29,9 +32,21 @@ impl AuthenticatedFlood {
     /// so the service is already overloaded when the genuine warning
     /// would arrive.
     pub fn ad20() -> Self {
-        AuthenticatedFlood { sender: "attacker".to_owned(), per_tick: 40, within_m: 1_200.0 }
+        AuthenticatedFlood { sender: Arc::from("attacker"), per_tick: 40, within_m: 1_200.0 }
     }
 }
+
+/// The flood's junk payloads `[0xEE, i]` for `i` in `0..251`, built at
+/// compile time so every injected message signs static bytes.
+static FLOOD_PAYLOADS: [[u8; 2]; 251] = {
+    let mut table = [[0xEE, 0]; 251];
+    let mut i = 0;
+    while i < table.len() {
+        table[i][1] = i as u8;
+        i += 1;
+    }
+    table
+};
 
 impl AttackerHook<ConstructionWorld> for AuthenticatedFlood {
     fn on_tick(&mut self, world: &mut ConstructionWorld, now: SimTime) {
@@ -43,8 +58,8 @@ impl AttackerHook<ConstructionWorld> for AuthenticatedFlood {
             // "extra messages … in chaotic way" (Table VI): validly
             // signed frames of a non-warning type, useless but
             // budget-consuming.
-            let payload = [0xEE, (i % 251) as u8];
-            let msg = world.signed_message(&self.sender.clone(), &payload, now);
+            let payload = Bytes::from_static(&FLOOD_PAYLOADS[i % FLOOD_PAYLOADS.len()]);
+            let msg = world.signed_message_bytes(Arc::clone(&self.sender), payload, now);
             world.channel_mut().broadcast(msg, now);
         }
     }
@@ -246,6 +261,27 @@ mod tests {
         let outcome = run(controls, &mut AuthenticatedFlood::ad20());
         assert!(outcome.service_shutdown, "{outcome:?}");
         assert!(outcome.sg01_violated);
+    }
+
+    #[test]
+    fn ad20_flood_leaves_no_dead_backlog_after_shutdown() {
+        // Once the service has shut down its queue is never read again,
+        // so the flood that keeps arriving must not pile up in it.
+        let controls = ControlSelection { flood_protection: false, ..ControlSelection::all() };
+        let config = ConstructionConfig { controls, ..Default::default() };
+        let limit = config.obu_queue_limit;
+        let mut world = ConstructionWorld::new(config);
+        let mut flood = AuthenticatedFlood::ad20();
+        let mut ticks_after_shutdown = 0u32;
+        while world.step(&mut flood) {
+            if !world.service_alive() {
+                ticks_after_shutdown += 1;
+                assert!(world.obu_backlog() <= limit, "backlog {}", world.obu_backlog());
+            }
+        }
+        assert!(ticks_after_shutdown > 100, "the flood outlives the service");
+        assert!(world.obu_backlog() <= limit, "final backlog {}", world.obu_backlog());
+        assert!(world.into_outcome().service_shutdown);
     }
 
     #[test]

@@ -345,9 +345,8 @@ fn prepare(case: &TestCase, obs: &Obs) -> Prepared {
         AttackKind::V2xFlood { per_tick } => Prepared::Construction {
             world: ConstructionWorld::new(construction_config(case)).with_obs(obs.clone()),
             hook: Box::new(AuthenticatedFlood {
-                sender: "attacker".to_owned(),
                 per_tick: *per_tick,
-                within_m: 1_200.0,
+                ..AuthenticatedFlood::ad20()
             }),
             // Table VI: success = "Shutdown of service"; fails =
             // "Security control identifies unwanted sender".
@@ -405,7 +404,7 @@ fn prepare(case: &TestCase, obs: &Obs) -> Prepared {
             world.schedule_owner_open(SimTime::from_secs(1));
             Prepared::Keyless {
                 world,
-                hook: Box::new(ServiceFlood { per_tick: *per_tick }),
+                hook: Box::new(ServiceFlood::new(*per_tick)),
                 verdict: |o| (o.sg03_violated, !o.isolated_senders.is_empty()),
             }
         }

@@ -33,7 +33,7 @@ mod snapshot;
 use std::sync::Arc;
 use std::time::Instant;
 
-pub use recorder::{FieldValue, MemoryRecorder, NoopRecorder, Recorder, TeeRecorder};
+pub use recorder::{FieldValue, MemoryRecorder, NoopRecorder, Recorder};
 pub use snapshot::{
     BucketSnapshot, CounterSnapshot, EventSnapshot, GaugeSnapshot, HistogramSnapshot,
     MetricsSnapshot,

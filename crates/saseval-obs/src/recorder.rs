@@ -109,55 +109,6 @@ pub struct NoopRecorder;
 
 impl Recorder for NoopRecorder {}
 
-/// Fans every emit out to several recorders in order.
-///
-/// Lets one job both accumulate a [`MetricsSnapshot`] (via a
-/// [`MemoryRecorder`]) and stream live progress to a second sink — e.g.
-/// the campaign server forwarding throughput gauges to a connected
-/// client — without the instrumented code knowing about either.
-pub struct TeeRecorder {
-    sinks: Vec<std::sync::Arc<dyn Recorder>>,
-}
-
-impl std::fmt::Debug for TeeRecorder {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TeeRecorder").field("sinks", &self.sinks.len()).finish()
-    }
-}
-
-impl TeeRecorder {
-    /// A tee over `sinks`; emits are forwarded in the given order.
-    pub fn new(sinks: Vec<std::sync::Arc<dyn Recorder>>) -> Self {
-        TeeRecorder { sinks }
-    }
-}
-
-impl Recorder for TeeRecorder {
-    fn counter(&self, name: &'static str, delta: u64) {
-        for sink in &self.sinks {
-            sink.counter(name, delta);
-        }
-    }
-
-    fn gauge(&self, name: &'static str, value: f64) {
-        for sink in &self.sinks {
-            sink.gauge(name, value);
-        }
-    }
-
-    fn histogram(&self, name: &'static str, value: f64) {
-        for sink in &self.sinks {
-            sink.histogram(name, value);
-        }
-    }
-
-    fn event(&self, name: &'static str, fields: &[(&'static str, FieldValue)]) {
-        for sink in &self.sinks {
-            sink.event(name, fields);
-        }
-    }
-}
-
 /// Upper bucket bounds shared by every histogram: powers of ten from one
 /// microsecond-scale value up, suitable both for durations in seconds
 /// and small magnitude counts. Values above the last bound land in the
@@ -367,24 +318,6 @@ mod tests {
         assert_eq!(recorder.counter_value("c"), Some(5));
         assert_eq!(recorder.gauge_value("g"), Some(0.75));
         assert_eq!(recorder.snapshot().counter("c"), recorder.counter_value("c"));
-    }
-
-    #[test]
-    fn tee_forwards_to_every_sink() {
-        let a = std::sync::Arc::new(MemoryRecorder::default());
-        let b = std::sync::Arc::new(MemoryRecorder::default());
-        let tee = TeeRecorder::new(vec![a.clone(), b.clone()]);
-        tee.counter("c", 2);
-        tee.gauge("g", 0.5);
-        tee.histogram("h", 1.0);
-        tee.event("e", &[("k", FieldValue::U64(1))]);
-        for sink in [a, b] {
-            let snapshot = sink.snapshot();
-            assert_eq!(snapshot.counter("c"), Some(2));
-            assert_eq!(snapshot.gauge("g"), Some(0.5));
-            assert_eq!(snapshot.histogram("h").map(|h| h.count), Some(1));
-            assert_eq!(snapshot.events.len(), 1);
-        }
     }
 
     #[test]

@@ -448,6 +448,9 @@ mod tests {
     }
 
     #[test]
+    // The clone is the subject under test: a cloned frame must share the
+    // original's allocation.
+    #[allow(clippy::redundant_clone)]
     fn framing_round_trips_and_shares_one_allocation() {
         let framed = FramedPayload::frame(b"{\"x\":1}");
         assert_eq!(framed.tail(), b",\"payload\":{\"x\":1}}\n");

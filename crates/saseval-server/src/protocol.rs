@@ -105,7 +105,7 @@ mod tests {
         let payload = br#"{"Fuzz":{"iterations":3}}"#;
         let framed = FramedPayload::frame(payload);
         let mut line = done_head("j1", 0xABCD, "memory", None);
-        line.extend_from_slice(&framed.tail());
+        line.extend_from_slice(framed.tail());
         let expected = format!(
             "{{\"id\":\"j1\",\"event\":\"done\",\"key\":\"{:016x}\",\"cache\":\"memory\",\"payload\":{}}}\n",
             0xABCDu64,

@@ -37,7 +37,7 @@ use attack_engine::campaign::run_campaign_batched_with_obs;
 use saseval_fuzz::fuzzer::Fuzzer;
 use saseval_fuzz::model::{keyless_command_model, v2x_warning_model};
 use saseval_fuzz::sim_target::SimOracle;
-use saseval_obs::{FieldValue, MemoryRecorder, Obs, Recorder, TeeRecorder};
+use saseval_obs::{FieldValue, Obs, Recorder};
 use saseval_tara::tree::{AttackTree, TreeNode};
 use saseval_tara::AttackPath;
 use serde::Serialize;
@@ -88,10 +88,7 @@ impl SnapshotStore {
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<u64, ResidentPrefix>> {
-        match self.prefixes.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        lock(&self.prefixes)
     }
 
     /// Simulates and freezes the warm prefixes of the two default
@@ -229,9 +226,9 @@ fn run_scenario_job(job: ScenarioJob, obs: &Obs) -> JobPayload {
 }
 
 /// Execution statistics of a freshly computed job, summarized from the
-/// job's [`MemoryRecorder`] snapshot. Cache hits have none — timings
-/// vary run to run, so they are deliberately *not* part of the cached
-/// payload.
+/// counters its worker-side job recorder keeps. Cache hits have none —
+/// timings vary run to run, so they are deliberately *not* part of the
+/// cached payload.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FreshStats {
     /// Wall-clock job duration in seconds.
@@ -285,22 +282,55 @@ pub enum PoolEvent {
     },
 }
 
-/// Forwards selected live metrics from a running job to the event loop
-/// as [`PoolEvent::Progress`] messages: throughput gauges
-/// (`fuzz.inputs_per_sec`, `fuzz.shard.inputs_per_sec`), rate-limited
-/// to one sample per 25 ms, and per-case campaign verdicts (counted,
-/// unthrottled — suites are small). Dropped receivers are ignored: a
-/// disconnected client must not fail its job.
-struct ProgressForwarder {
+/// The recorder a worker attaches to each job it executes.
+///
+/// It keeps the two counters [`FreshStats`] summarizes (`fuzz.inputs`
+/// and `campaign.cases`) and forwards selected live metrics to the event
+/// loop as [`PoolEvent::Progress`] messages: throughput gauges
+/// (`fuzz.inputs_per_sec`, `fuzz.shard.inputs_per_sec`), rate-limited to
+/// one sample per 25 ms, and per-case campaign verdicts (unthrottled —
+/// suites are small). Every other emit — the simulators' per-message
+/// `net.*` counters among them — does nothing. Dropped receivers are
+/// ignored: a disconnected client must not fail its job.
+struct JobRecorder {
     key: u64,
     epoch: u64,
     events: Sender<PoolEvent>,
     last_gauge: Mutex<Option<Instant>>,
+    fuzz_inputs: Mutex<Option<u64>>,
+    campaign_cases: Mutex<Option<u64>>,
 }
 
 const GAUGE_INTERVAL: Duration = Duration::from_millis(25);
 
-impl ProgressForwarder {
+/// Locks `mutex`, recovering the data of a poisoned lock.
+fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    match mutex.lock() {
+        Ok(guard) => guard,
+        Err(poisoned) => poisoned.into_inner(),
+    }
+}
+
+impl JobRecorder {
+    fn new(job: &QueuedJob) -> Self {
+        JobRecorder {
+            key: job.key,
+            epoch: job.epoch,
+            events: job.events.clone(),
+            last_gauge: Mutex::new(None),
+            fuzz_inputs: Mutex::new(None),
+            campaign_cases: Mutex::new(None),
+        }
+    }
+
+    /// The job's execution statistics, given its wall-clock duration.
+    fn stats(&self, elapsed_seconds: f64) -> FreshStats {
+        let inputs_per_sec = lock(&self.fuzz_inputs)
+            .filter(|_| elapsed_seconds > 0.0)
+            .map(|inputs| inputs as f64 / elapsed_seconds);
+        FreshStats { elapsed_seconds, inputs_per_sec, cases: *lock(&self.campaign_cases) }
+    }
+
     fn send(&self, metric: &str, value: f64) {
         let _ = self.events.send(PoolEvent::Progress {
             key: self.key,
@@ -311,15 +341,21 @@ impl ProgressForwarder {
     }
 }
 
-impl Recorder for ProgressForwarder {
+impl Recorder for JobRecorder {
+    fn counter(&self, name: &'static str, delta: u64) {
+        let kept = match name {
+            "fuzz.inputs" => &self.fuzz_inputs,
+            "campaign.cases" => &self.campaign_cases,
+            _ => return,
+        };
+        *lock(kept).get_or_insert(0) += delta;
+    }
+
     fn gauge(&self, name: &'static str, value: f64) {
         if !name.ends_with("inputs_per_sec") {
             return;
         }
-        let mut last = match self.last_gauge.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let mut last = lock(&self.last_gauge);
         let now = Instant::now();
         if last.is_some_and(|t| now.duration_since(t) < GAUGE_INTERVAL) {
             return;
@@ -397,15 +433,9 @@ impl WorkerPool {
 
 fn worker_loop(queue: &Mutex<Receiver<QueuedJob>>, cache: &ResultCache, snapshots: &SnapshotStore) {
     loop {
-        let job = {
-            let receiver = match queue.lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            match receiver.recv() {
-                Ok(job) => job,
-                Err(_) => return, // all senders gone: shutdown
-            }
+        let job = match lock(queue).recv() {
+            Ok(job) => job,
+            Err(_) => return, // all senders gone: shutdown
         };
         // A job cancelled while it sat in the queue is never executed.
         if job.token.is_cancelled() {
@@ -424,16 +454,10 @@ fn worker_loop(queue: &Mutex<Receiver<QueuedJob>>, cache: &ResultCache, snapshot
             });
             continue;
         }
-        // Tee the job's metrics: the memory recorder feeds the done
-        // frame's stats summary, the forwarder streams live progress.
-        let forwarder = Arc::new(ProgressForwarder {
-            key: job.key,
-            epoch: job.epoch,
-            events: job.events.clone(),
-            last_gauge: Mutex::new(None),
-        });
-        let memory = Arc::new(MemoryRecorder::default());
-        let obs = Obs::recording(Arc::new(TeeRecorder::new(vec![memory.clone(), forwarder])));
+        // The job recorder feeds the done frame's stats summary and
+        // streams live progress.
+        let recorder = Arc::new(JobRecorder::new(&job));
+        let obs = Obs::recording(recorder.clone());
         let started = Instant::now();
         let payload = run_job(job.spec, snapshots, &obs).to_bytes();
         let elapsed_seconds = started.elapsed().as_secs_f64();
@@ -446,22 +470,12 @@ fn worker_loop(queue: &Mutex<Receiver<QueuedJob>>, cache: &ResultCache, snapshot
             continue;
         }
         let frame = cache.insert(job.key, &payload);
-        let snapshot = memory.snapshot();
-        let inputs_per_sec = snapshot
-            .counter("fuzz.inputs")
-            .filter(|_| elapsed_seconds > 0.0)
-            .map(|inputs| inputs as f64 / elapsed_seconds);
-        let stats = FreshStats {
-            elapsed_seconds,
-            inputs_per_sec,
-            cases: snapshot.counter("campaign.cases"),
-        };
         let _ = job.events.send(PoolEvent::Done {
             key: job.key,
             epoch: job.epoch,
             frame,
             tier: None,
-            stats: Some(stats),
+            stats: Some(recorder.stats(elapsed_seconds)),
         });
     }
 }

@@ -12,8 +12,10 @@
 //! presets at three (horizon, attack) timings — including a keyless
 //! tail long enough to cross a BLE supervision drop — at shard counts
 //! 1–3 and batch sizes 1/7/16, twenty small scenario searches, the
-//! cheap `Jamming`/`Ad08` campaigns on the attacked path, and static
-//! lint jobs over both catalogs.
+//! cheap `Jamming`/`Ad08` campaigns on the attacked path, the
+//! flood-heavy `Full`/`Ad20`/`CanFlood`/`Ablation` campaigns, static
+//! lint jobs over both catalogs, and one lint job fed by executed AD20
+//! verdicts.
 
 use saseval_fuzz::scenario::ScenarioSpace;
 use saseval_obs::Obs;
@@ -92,9 +94,24 @@ fn campaign_and_lint_matrix() -> Vec<JobSpec> {
             jobs.push(JobSpec::Campaign(CampaignJob { suite, seed }));
         }
     }
+    // The flood-heavy suites: AD20 (authenticated OBU_RSU flood) and
+    // AD14 (BLE→CAN service flood) dominate their run time.
+    for (suite, seed) in [
+        (SuiteName::Full, 0),
+        (SuiteName::Ad20, 17),
+        (SuiteName::CanFlood, 17),
+        (SuiteName::Ablation, 0),
+    ] {
+        jobs.push(JobSpec::Campaign(CampaignJob { suite, seed }));
+    }
     for catalog in [CatalogName::UseCase1, CatalogName::UseCase2] {
         jobs.push(JobSpec::Lint(LintJob { catalog, suite: None, artifacts: 0 }));
     }
+    jobs.push(JobSpec::Lint(LintJob {
+        catalog: CatalogName::UseCase1,
+        suite: Some(SuiteName::Ad20),
+        artifacts: 0,
+    }));
     jobs
 }
 
@@ -445,6 +462,11 @@ const CAMPAIGN_LINT_GOLDEN: &[(&str, u64)] = &[
     (r#"{"Campaign":{"suite":"Jamming","seed":17}}"#, 0x7e8dbda6d12bbbaa),
     (r#"{"Campaign":{"suite":"Ad08","seed":0}}"#, 0xb9142ed8bb21840e),
     (r#"{"Campaign":{"suite":"Ad08","seed":17}}"#, 0xb9142ed8bb21840e),
+    (r#"{"Campaign":{"suite":"Full","seed":0}}"#, 0xbc07c168d2a03c1a),
+    (r#"{"Campaign":{"suite":"Ad20","seed":17}}"#, 0x652738687167b34c),
+    (r#"{"Campaign":{"suite":"CanFlood","seed":17}}"#, 0x9c117a682352464c),
+    (r#"{"Campaign":{"suite":"Ablation","seed":0}}"#, 0x6a6ba33185b8836e),
     (r#"{"Lint":{"catalog":"UseCase1","suite":null,"artifacts":0}}"#, 0xffcc494c71b9fa78),
     (r#"{"Lint":{"catalog":"UseCase2","suite":null,"artifacts":0}}"#, 0x5db56d4bfcb35bf0),
+    (r#"{"Lint":{"catalog":"UseCase1","suite":"Ad20","artifacts":0}}"#, 0x91f9096d9ae05bfa),
 ];

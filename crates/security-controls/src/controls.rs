@@ -123,8 +123,8 @@ impl SecurityControl for FreshnessWindow {
 /// payload-digest)` triples in a bounded FIFO cache.
 #[derive(Debug, Clone)]
 pub struct ReplayDetector {
-    seen: HashSet<(String, u64, u64)>,
-    order: VecDeque<(String, u64, u64)>,
+    seen: HashSet<(Arc<str>, u64, u64)>,
+    order: VecDeque<(Arc<str>, u64, u64)>,
     capacity: usize,
 }
 
@@ -134,11 +134,11 @@ impl ReplayDetector {
         ReplayDetector { seen: HashSet::new(), order: VecDeque::new(), capacity: capacity.max(1) }
     }
 
-    fn key(envelope: &Envelope) -> (String, u64, u64) {
+    fn key(envelope: &Envelope) -> (Arc<str>, u64, u64) {
         // A keyless digest is fine here: the detector compares equality,
         // not authenticity.
         let digest = MacKey::new(0).sign(envelope.payload()).raw();
-        (envelope.sender().to_owned(), envelope.generated_at().as_micros(), digest)
+        (Arc::clone(envelope.shared_sender()), envelope.generated_at().as_micros(), digest)
     }
 }
 
@@ -240,7 +240,9 @@ impl SecurityControl for ChallengeResponse {
 pub struct FloodDetector {
     max_per_window: usize,
     window: Ftti,
-    history: BTreeMap<String, VecDeque<SimTime>>,
+    /// Per-sender arrival times, keyed by the envelope's shared sender
+    /// so a known sender is looked up without allocating.
+    history: BTreeMap<Arc<str>, VecDeque<SimTime>>,
 }
 
 impl FloodDetector {
@@ -257,7 +259,10 @@ impl SecurityControl for FloodDetector {
     }
 
     fn check(&mut self, envelope: &Envelope, now: SimTime) -> Result<(), RejectReason> {
-        let history = self.history.entry(envelope.sender().to_owned()).or_default();
+        let history = match self.history.get_mut(envelope.sender()) {
+            Some(history) => history,
+            None => self.history.entry(Arc::clone(envelope.shared_sender())).or_default(),
+        };
         while let Some(&front) = history.front() {
             if now.saturating_since(front) > self.window {
                 history.pop_front();

@@ -1,5 +1,7 @@
 //! The normalized inbound-message view the controls inspect.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use saseval_types::SimTime;
@@ -10,10 +12,11 @@ use crate::mac::Tag;
 ///
 /// The simulation agents translate V2X messages, BLE frames and CAN
 /// frames into envelopes before admission; the controls never need to
-/// know the medium.
+/// know the medium. The sender is the message's shared [`Arc<str>`], so
+/// wrapping a message copies a pointer, not the name.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Envelope {
-    sender: String,
+    sender: Arc<str>,
     generated_at: SimTime,
     payload: Vec<u8>,
     tag: Option<Tag>,
@@ -24,7 +27,7 @@ pub struct Envelope {
 impl Envelope {
     /// Creates an envelope with the mandatory fields.
     pub fn new(
-        sender: impl Into<String>,
+        sender: impl Into<Arc<str>>,
         generated_at: SimTime,
         payload: impl Into<Vec<u8>>,
     ) -> Self {
@@ -59,6 +62,12 @@ impl Envelope {
 
     /// The claimed sender identity.
     pub fn sender(&self) -> &str {
+        &self.sender
+    }
+
+    /// The claimed sender identity as its shared allocation; controls
+    /// that remember a sender clone this pointer instead of the name.
+    pub fn shared_sender(&self) -> &Arc<str> {
         &self.sender
     }
 

@@ -3,6 +3,7 @@
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -112,8 +113,10 @@ pub const DEFAULT_ISOLATION_THRESHOLD: u32 = 10;
 pub struct ControlStack {
     owner: String,
     controls: Vec<Box<dyn SecurityControl>>,
-    broken_counter: BTreeMap<String, u32>,
-    isolated: BTreeMap<String, SimTime>,
+    /// Keyed by the envelope's shared sender: recording a known sender
+    /// allocates nothing, a new one clones a pointer.
+    broken_counter: BTreeMap<Arc<str>, u32>,
+    isolated: BTreeMap<Arc<str>, SimTime>,
     isolation_threshold: u32,
     log: SecurityLog,
     accepted: u64,
@@ -174,10 +177,15 @@ impl ControlStack {
             if let Err(reason) = control.check(envelope, now) {
                 self.rejected += 1;
                 self.log.record(now, control.name(), envelope.sender(), reason.to_string());
-                let counter = self.broken_counter.entry(envelope.sender().to_owned()).or_insert(0);
+                let counter = match self.broken_counter.get_mut(envelope.sender()) {
+                    Some(counter) => counter,
+                    None => {
+                        self.broken_counter.entry(Arc::clone(envelope.shared_sender())).or_insert(0)
+                    }
+                };
                 *counter += 1;
                 if *counter >= self.isolation_threshold {
-                    self.isolated.insert(envelope.sender().to_owned(), now);
+                    self.isolated.insert(Arc::clone(envelope.shared_sender()), now);
                     self.log.record(
                         now,
                         "broken-message-counter",

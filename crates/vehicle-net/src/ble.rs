@@ -6,6 +6,8 @@
 //! with no traffic for longer than the supervision timeout drops — the
 //! mechanism behind connection-flapping attacks on SG02).
 
+use std::sync::Arc;
+
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -35,8 +37,9 @@ pub enum LinkState {
 pub struct BleFrame {
     /// Link-layer sequence number (monotonic per connection).
     pub seq: u32,
-    /// Sender name.
-    pub sender: String,
+    /// Sender name, shared with every other frame from the same
+    /// identity.
+    pub sender: Arc<str>,
     /// Application payload.
     pub payload: Bytes,
     /// Send time (basis of freshness checks).
@@ -217,7 +220,7 @@ impl BleLink {
     /// Returns [`NetError::NotConnected`] if no connection exists.
     pub fn send(
         &mut self,
-        sender: impl Into<String>,
+        sender: impl Into<Arc<str>>,
         payload: Bytes,
         now: SimTime,
     ) -> Result<u32, NetError> {

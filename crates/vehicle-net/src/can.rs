@@ -11,6 +11,7 @@
 //! simulation loop via [`CanBus::advance`].
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use bytes::Bytes;
 use saseval_obs::Obs;
@@ -52,12 +53,13 @@ impl std::fmt::Display for CanId {
     }
 }
 
-/// A CAN data frame.
+/// A CAN data frame. The sender name is a shared [`Arc<str>`], so a
+/// node that keeps its identity can build frames without copying it.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CanFrame {
     id: CanId,
     payload: Bytes,
-    sender: String,
+    sender: Arc<str>,
 }
 
 impl CanFrame {
@@ -66,7 +68,7 @@ impl CanFrame {
     /// # Errors
     ///
     /// Returns [`NetError::PayloadTooLong`] if the payload exceeds 8 bytes.
-    pub fn new(id: CanId, payload: Bytes, sender: impl Into<String>) -> Result<Self, NetError> {
+    pub fn new(id: CanId, payload: Bytes, sender: impl Into<Arc<str>>) -> Result<Self, NetError> {
         if payload.len() > 8 {
             return Err(NetError::PayloadTooLong { len: payload.len() });
         }
@@ -166,7 +168,9 @@ struct QueuedFrame {
 #[derive(Clone)]
 pub struct CanBus {
     config: CanBusConfig,
-    queues: BTreeMap<String, VecDeque<QueuedFrame>>,
+    /// Transmit queues keyed by the sender's shared name, so queueing
+    /// and arbitration copy a pointer, not the name.
+    queues: BTreeMap<Arc<str>, VecDeque<QueuedFrame>>,
     tec: BTreeMap<String, u32>,
     cursor: SimTime,
     stats: CanBusStats,
@@ -216,13 +220,16 @@ impl CanBus {
     ///   (the frame is counted as dropped).
     pub fn submit(&mut self, frame: CanFrame, now: SimTime) -> Result<(), NetError> {
         if self.error_state(frame.sender()) == NodeErrorState::BusOff {
-            return Err(NetError::BusOff { node: frame.sender().to_owned() });
+            return Err(NetError::BusOff { node: Arc::clone(&frame.sender) });
         }
-        let queue = self.queues.entry(frame.sender().to_owned()).or_default();
+        let queue = match self.queues.get_mut(frame.sender()) {
+            Some(queue) => queue,
+            None => self.queues.entry(Arc::clone(&frame.sender)).or_default(),
+        };
         if queue.len() >= self.config.tx_queue_depth {
             self.stats.dropped += 1;
             self.obs.counter("net.can.dropped", 1);
-            return Err(NetError::TxQueueFull { node: frame.sender().to_owned() });
+            return Err(NetError::TxQueueFull { node: Arc::clone(&frame.sender) });
         }
         queue.push_back(QueuedFrame { frame, ready: now });
         self.stats.submitted += 1;
@@ -257,7 +264,7 @@ impl CanBus {
                     q.front().filter(|f| f.ready <= self.cursor).map(|f| (f.frame.id(), node))
                 })
                 .min()
-                .map(|(_, node)| node.clone());
+                .map(|(_, node)| Arc::clone(node));
             let Some(node) = winner_node else {
                 // Nothing ready at the cursor: jump to the next ready time.
                 self.cursor = min_ready.max(self.cursor);
@@ -281,7 +288,7 @@ impl CanBus {
             self.cursor = completed_at;
             self.stats.delivered += 1;
             // Successful transmission decrements the error counter.
-            if let Some(tec) = self.tec.get_mut(&node) {
+            if let Some(tec) = self.tec.get_mut(&*node) {
                 *tec = tec.saturating_sub(1);
             }
             deliveries.push(CanDelivery { frame, completed_at });

@@ -1,6 +1,7 @@
 //! Error type for the network substrates.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Error returned by network-substrate operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -18,12 +19,12 @@ pub enum NetError {
     /// The transmitting node's queue is full; the frame was dropped.
     TxQueueFull {
         /// The node whose queue overflowed.
-        node: String,
+        node: Arc<str>,
     },
     /// The node is in bus-off state and may not transmit.
     BusOff {
         /// The offending node.
-        node: String,
+        node: Arc<str>,
     },
     /// Operation requires an established BLE connection.
     NotConnected,

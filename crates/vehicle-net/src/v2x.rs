@@ -5,6 +5,8 @@
 //! windows** during which nothing is received ([`V2xChannel::jam`]) — the
 //! executable form of attack type "Jamming" from Table IV.
 
+use std::sync::Arc;
+
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -14,9 +16,13 @@ use serde::{Deserialize, Serialize};
 use saseval_types::{Ftti, SimTime};
 
 /// A V2X application message.
+///
+/// The sender identity is a shared [`Arc<str>`]: cloning a message, or
+/// building many messages from one identity, copies a pointer rather
+/// than the name.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct V2xMessage {
-    sender: String,
+    sender: Arc<str>,
     msg_type: u16,
     payload: Bytes,
     generated_at: SimTime,
@@ -27,7 +33,7 @@ impl V2xMessage {
     /// Creates a message stamped with its generation time (the basis of
     /// freshness checks in `security-controls`).
     pub fn new(
-        sender: impl Into<String>,
+        sender: impl Into<Arc<str>>,
         msg_type: u16,
         payload: Bytes,
         generated_at: SimTime,
@@ -53,6 +59,12 @@ impl V2xMessage {
         &self.sender
     }
 
+    /// The claimed sender identity as its shared allocation; cloning it
+    /// copies a pointer.
+    pub fn shared_sender(&self) -> &Arc<str> {
+        &self.sender
+    }
+
     /// The application message type (e.g. road-works warning, signage).
     pub fn msg_type(&self) -> u16 {
         self.msg_type
@@ -70,7 +82,7 @@ impl V2xMessage {
 
     /// Returns a copy with a different claimed sender (spoofing helper for
     /// the attack engine).
-    pub fn with_sender(&self, sender: impl Into<String>) -> V2xMessage {
+    pub fn with_sender(&self, sender: impl Into<Arc<str>>) -> V2xMessage {
         V2xMessage { sender: sender.into(), ..self.clone() }
     }
 

@@ -22,6 +22,7 @@
 //!   (warning missing or too late).
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use bytes::Bytes;
 use saseval_obs::Obs;
@@ -307,6 +308,13 @@ impl ConstructionWorld {
         self.service_alive
     }
 
+    /// Messages waiting in the OBU ingress queue. Once the service has
+    /// shut down the queue is never read again, so it is emptied and
+    /// later deliveries are dropped: the backlog stays at zero.
+    pub fn obu_backlog(&self) -> usize {
+        self.obu_queue.len()
+    }
+
     /// The RSU's signing key. Table VI's implementation comment requires
     /// an *authenticated* attacker ("create an authenticated sender as
     /// attacker besides the original sender"), so the attack engine may
@@ -343,15 +351,28 @@ impl ConstructionWorld {
 
     /// Builds a correctly signed message from `sender` — used by the RSU
     /// and by authenticated attackers (AD20).
-    pub fn signed_message(&self, sender: &str, payload: &[u8], at: SimTime) -> V2xMessage {
-        let tag = MacAuthenticator::sign(self.rsu_key, sender, payload, at);
-        V2xMessage::new(
-            sender,
-            u16::from(payload.first().copied().unwrap_or(0)),
-            Bytes::copy_from_slice(payload),
-            at,
-        )
-        .with_auth_tag(tag.raw())
+    pub fn signed_message(
+        &self,
+        sender: impl Into<Arc<str>>,
+        payload: &[u8],
+        at: SimTime,
+    ) -> V2xMessage {
+        self.signed_message_bytes(sender, Bytes::copy_from_slice(payload), at)
+    }
+
+    /// [`ConstructionWorld::signed_message`] over a payload the caller
+    /// already holds as [`Bytes`]. With a shared sender and a static or
+    /// shared payload the message is built without allocating.
+    pub fn signed_message_bytes(
+        &self,
+        sender: impl Into<Arc<str>>,
+        payload: Bytes,
+        at: SimTime,
+    ) -> V2xMessage {
+        let sender = sender.into();
+        let tag = MacAuthenticator::sign(self.rsu_key, &sender, &payload, at);
+        let msg_type = u16::from(payload.first().copied().unwrap_or(0));
+        V2xMessage::new(sender, msg_type, payload, at).with_auth_tag(tag.raw())
     }
 
     /// Whether the RSU broadcasts on this tick: the vehicle is in range
@@ -385,11 +406,12 @@ impl ConstructionWorld {
         // from their own sender identities on the shared period —
         // infrastructure density as a scenario dimension.
         for k in 0..self.config.extra_rsus {
-            let sender = format!("RSU-{}", k + 2);
-            let warning = self.signed_message(&sender, &[MSG_ROADWORKS, distance_dm], self.now);
+            let sender: Arc<str> = Arc::from(format!("RSU-{}", k + 2));
+            let warning =
+                self.signed_message(Arc::clone(&sender), &[MSG_ROADWORKS, distance_dm], self.now);
             self.channel.broadcast(warning, self.now);
             let signage = self.signed_message(
-                &sender,
+                sender,
                 &[MSG_SIGNAGE, self.config.zone_speed_limit_kmh],
                 self.now,
             );
@@ -451,6 +473,13 @@ impl ConstructionWorld {
     fn obu_tick(&mut self) {
         let mut delivered = std::mem::take(&mut self.delivery_buf);
         self.channel.poll_into(self.now, &mut delivered);
+        if !self.service_alive {
+            // A shut-down service never comes back and never reads its
+            // queue again: drop the deliveries instead of hoarding them.
+            delivered.clear();
+            self.delivery_buf = delivered;
+            return;
+        }
         for msg in delivered.drain(..) {
             // Messages from isolated senders are shed at ingress — the
             // "enforce change of frequency" effect of Table VI.
@@ -460,22 +489,24 @@ impl ConstructionWorld {
             self.obu_queue.push_back(msg);
         }
         self.delivery_buf = delivered;
-        if self.obu_queue.len() > self.config.obu_queue_limit && self.service_alive {
+        if self.obu_queue.len() > self.config.obu_queue_limit {
             self.service_alive = false;
+            self.obu_queue.clear();
             self.trace.record(
                 self.now,
                 "OBU",
                 "service-shutdown",
                 format!("ingress queue exceeded {} messages", self.config.obu_queue_limit),
             );
-        }
-        if !self.service_alive {
             return;
         }
         for _ in 0..self.config.obu_budget_per_tick {
             let Some(msg) = self.obu_queue.pop_front() else { break };
-            let mut envelope =
-                Envelope::new(msg.sender(), msg.generated_at(), msg.payload().to_vec());
+            let mut envelope = Envelope::new(
+                Arc::clone(msg.shared_sender()),
+                msg.generated_at(),
+                msg.payload().to_vec(),
+            );
             if let Some(tag) = msg.auth_tag() {
                 envelope = envelope.with_tag(security_controls::mac::Tag::from_raw(tag));
             }

@@ -16,6 +16,8 @@
 //! within its availability budget, **SG04** no closing while a person is
 //! entering.
 
+use std::sync::Arc;
+
 use bytes::Bytes;
 use saseval_obs::Obs;
 use serde::{Deserialize, Serialize};
@@ -205,7 +207,10 @@ pub struct KeylessWorld {
     unauthorized_open: bool,
     entering_until: Option<SimTime>,
     closed_during_entry: bool,
-    sniffed: Vec<Vec<u8>>,
+    /// The gateway's CAN node name, built once and shared by every frame
+    /// it forwards.
+    gateway_node: Arc<str>,
+    sniffed: Vec<Bytes>,
     trace: TraceRecorder,
     obs: Obs,
     ticks: u64,
@@ -274,6 +279,7 @@ impl KeylessWorld {
             unauthorized_open: false,
             entering_until: None,
             closed_during_entry: false,
+            gateway_node: Arc::from("GW"),
             sniffed: Vec::new(),
             trace: TraceRecorder::new(),
             obs: Obs::noop(),
@@ -328,8 +334,9 @@ impl KeylessWorld {
     }
 
     /// All payloads ever sent on the radio — the attacker's eavesdropping
-    /// feed (replay attacks record from here).
-    pub fn sniffed(&self) -> &[Vec<u8>] {
+    /// feed (replay attacks record from here). Each entry shares the sent
+    /// frame's buffer.
+    pub fn sniffed(&self) -> &[Bytes] {
         &self.sniffed
     }
 
@@ -392,16 +399,20 @@ impl KeylessWorld {
 
     /// Sends a raw payload on the BLE radio under any sender name — the
     /// attack engine's injection primitive. Connects (or hijacks the
-    /// session) if necessary.
-    pub fn send_ble(&mut self, sender: &str, payload: Vec<u8>) {
+    /// session) if necessary. A sender that keeps its identity as an
+    /// `Arc<str>` and its payload as [`Bytes`] sends without allocating:
+    /// the link frame shares both, the sniffed entry shares the payload.
+    pub fn send_ble(&mut self, sender: impl Into<Arc<str>>, payload: impl Into<Bytes>) {
+        let sender = sender.into();
         if !self.link.is_connected() {
             self.link.start_advertising(self.now);
-            if self.link.connect(sender, self.now).is_err() {
+            if self.link.connect(&*sender, self.now).is_err() {
                 return;
             }
         }
+        let payload = payload.into();
         self.sniffed.push(payload.clone());
-        let _ = self.link.send(sender, Bytes::from(payload), self.now);
+        let _ = self.link.send(sender, payload, self.now);
     }
 
     /// Builds a fully credentialed command as the owner's phone would.
@@ -447,7 +458,7 @@ impl KeylessWorld {
                 // rate limiter, then placed on the CAN bus as diagnostic
                 // frames (the §IV-B flooding path).
                 if let Some(limiter) = &mut self.forward_limiter {
-                    let env = Envelope::new(frame.sender.clone(), frame.sent_at, Vec::new());
+                    let env = Envelope::new(Arc::clone(&frame.sender), frame.sent_at, Vec::new());
                     if limiter.check(&env, self.now).is_err() {
                         continue;
                     }
@@ -455,14 +466,14 @@ impl KeylessWorld {
                 let diag = CanFrame::new(
                     CanId::new(CAN_DIAG).expect("const id"),
                     Bytes::from_static(&[CMD_SERVICE]),
-                    "GW",
+                    Arc::clone(&self.gateway_node),
                 )
                 .expect("diag frame");
                 let _ = self.can.submit(diag, self.now);
                 continue;
             }
             let mut envelope = Envelope::new(
-                frame.sender.clone(),
+                Arc::clone(&frame.sender),
                 SimTime::from_micros(command.ts),
                 vec![command.cmd],
             )
@@ -479,7 +490,7 @@ impl KeylessWorld {
             let lock_cmd = CanFrame::new(
                 CanId::new(CAN_LOCK_CMD).expect("const id"),
                 Bytes::copy_from_slice(&[command.cmd]),
-                "GW",
+                Arc::clone(&self.gateway_node),
             )
             .expect("lock frame");
             let _ = self.can.submit(lock_cmd, self.now);
