@@ -64,19 +64,6 @@ pub fn run_campaign_with_obs(cases: &[TestCase], obs: &Obs) -> CampaignReport {
     CampaignReport { results }
 }
 
-/// [`run_campaign_with_obs`] through the lockstep batch executor
-/// ([`crate::executor::execute_batch_with_obs`]): same report, same
-/// `campaign.*` totals, but same-world cases step together so the
-/// dispatch loop is amortized — the variant a long-running campaign
-/// service schedules.
-pub fn run_campaign_batched_with_obs(cases: &[TestCase], obs: &Obs) -> CampaignReport {
-    let span = obs.span("campaign.run_seconds");
-    let results = crate::executor::execute_batch_with_obs(cases, obs);
-    record_campaign_totals(&results, obs);
-    span.finish();
-    CampaignReport { results }
-}
-
 fn record_campaign_totals(results: &[ExecutionResult], obs: &Obs) {
     obs.counter("campaign.cases", results.len() as u64);
     obs.counter("campaign.succeeded", results.iter().filter(|r| r.attack_succeeded).count() as u64);

@@ -8,7 +8,7 @@ use saseval_types::{Ftti, SimTime};
 use vehicle_sim::config::ControlSelection;
 use vehicle_sim::construction::{ConstructionConfig, ConstructionOutcome, ConstructionWorld};
 use vehicle_sim::keyless::{KeylessConfig, KeylessOutcome, KeylessWorld};
-use vehicle_sim::{AttackerHook, ConstructionBatch, KeylessBatch};
+use vehicle_sim::AttackerHook;
 
 use crate::attacks::{
     AllowlistTamper, AuthenticatedFlood, BleJam, CanStubInject, DelayedDelivery, JamChannel,
@@ -185,11 +185,8 @@ fn keyless_config(case: &TestCase) -> KeylessConfig {
 }
 
 /// A test case bound to its world, attacker hook and verdict evaluator —
-/// the output of the precondition phase. Keeping the three parts
-/// separate (instead of one opaque run closure) lets
-/// [`execute_batch`] step many same-world cases in lockstep through the
-/// `vehicle-sim` batch module while [`execute`] runs them one by one;
-/// both paths share the hook and verdict, so they cannot diverge.
+/// the output of the precondition phase, consumed by the injection phase
+/// of [`execute_with_obs`].
 //
 // Variant sizes differ because the worlds are inlined, but `Prepared`
 // values are transient — built and destructured within a single call —
@@ -218,34 +215,6 @@ pub fn execute(case: &TestCase) -> ExecutionResult {
     execute_with_obs(case, &Obs::noop())
 }
 
-fn evaluate_result(
-    case: &TestCase,
-    outcome: WorldOutcome,
-    succeeded: bool,
-    detected: bool,
-    obs: &Obs,
-) -> ExecutionResult {
-    let result = ExecutionResult {
-        attack_id: case.attack_id.clone(),
-        label: case.label.clone(),
-        controls: case.controls,
-        attack_succeeded: succeeded,
-        detected,
-        violated_goals: outcome.violated_goals().iter().map(|s| (*s).to_owned()).collect(),
-        outcome,
-    };
-    obs.event(
-        "case.verdict",
-        &[
-            ("attack_id", result.attack_id.as_str().into()),
-            ("label", result.label.as_str().into()),
-            ("succeeded", succeeded.into()),
-            ("detected", detected.into()),
-        ],
-    );
-    result
-}
-
 /// [`execute`] with metrics: phase timings land in the
 /// `case.{precondition,inject,evaluate}_seconds` histograms and each
 /// verdict is emitted as a `case.verdict` event.
@@ -270,71 +239,34 @@ pub fn execute_with_obs(case: &TestCase, obs: &Obs) -> ExecutionResult {
     inject.finish();
 
     let evaluate = obs.span("case.evaluate_seconds");
-    let result = evaluate_result(case, outcome, succeeded, detected, obs);
+    let result = ExecutionResult {
+        attack_id: case.attack_id.clone(),
+        label: case.label.clone(),
+        controls: case.controls,
+        attack_succeeded: succeeded,
+        detected,
+        violated_goals: outcome.violated_goals().iter().map(|s| (*s).to_owned()).collect(),
+        outcome,
+    };
+    obs.event(
+        "case.verdict",
+        &[
+            ("attack_id", result.attack_id.as_str().into()),
+            ("label", result.label.as_str().into()),
+            ("succeeded", succeeded.into()),
+            ("detected", detected.into()),
+        ],
+    );
     evaluate.finish();
     result
 }
 
-/// Executes `cases` on one thread by stepping all construction-site
-/// cases as one lockstep [`ConstructionBatch`] (struct-of-arrays
-/// kinematics) and all keyless cases as one [`KeylessBatch`], then
-/// evaluating the per-case verdicts. Results come back in input order
-/// and are identical to case-by-case [`execute`] — the batch steppers
-/// preserve per-world step order exactly.
+/// Executes `cases` one by one through [`execute`], in input order.
+///
+/// Exists only because the `perfbench/` harness calls it; remove it in
+/// the next change that edits `perfbench/`.
 pub fn execute_batch(cases: &[TestCase]) -> Vec<ExecutionResult> {
-    execute_batch_with_obs(cases, &Obs::noop())
-}
-
-/// [`execute_batch`] with metrics: the three phase histograms cover the
-/// whole batch, and one `case.verdict` event fires per case (grouped by
-/// world type, not input order).
-pub fn execute_batch_with_obs(cases: &[TestCase], obs: &Obs) -> Vec<ExecutionResult> {
-    let precondition = obs.span("case.precondition_seconds");
-    let mut construction = Vec::new();
-    let mut construction_worlds = Vec::new();
-    let mut keyless = Vec::new();
-    let mut keyless_worlds = Vec::new();
-    for (index, case) in cases.iter().enumerate() {
-        match prepare(case, obs) {
-            Prepared::Construction { world, hook, verdict } => {
-                construction.push((index, hook, verdict));
-                construction_worlds.push(world);
-            }
-            Prepared::Keyless { world, hook, verdict } => {
-                keyless.push((index, hook, verdict));
-                keyless_worlds.push(world);
-            }
-        }
-    }
-    precondition.finish();
-
-    let inject = obs.span("case.inject_seconds");
-    let construction_outcomes = {
-        let hooks = &mut construction;
-        ConstructionBatch::new(construction_worlds)
-            .run_outcomes(&mut |lane, world, now| hooks[lane].1.on_tick(world, now))
-    };
-    let keyless_outcomes = {
-        let hooks = &mut keyless;
-        KeylessBatch::new(keyless_worlds)
-            .run_outcomes(&mut |lane, world, now| hooks[lane].1.on_tick(world, now))
-    };
-    inject.finish();
-
-    let evaluate = obs.span("case.evaluate_seconds");
-    let mut slots: Vec<Option<ExecutionResult>> = cases.iter().map(|_| None).collect();
-    for ((index, _, verdict), outcome) in construction.into_iter().zip(construction_outcomes) {
-        let (succeeded, detected) = verdict(&outcome);
-        let outcome = WorldOutcome::Construction(outcome);
-        slots[index] = Some(evaluate_result(&cases[index], outcome, succeeded, detected, obs));
-    }
-    for ((index, _, verdict), outcome) in keyless.into_iter().zip(keyless_outcomes) {
-        let (succeeded, detected) = verdict(&outcome);
-        let outcome = WorldOutcome::Keyless(outcome);
-        slots[index] = Some(evaluate_result(&cases[index], outcome, succeeded, detected, obs));
-    }
-    evaluate.finish();
-    slots.into_iter().map(|slot| slot.expect("every case lands in exactly one batch")).collect()
+    cases.iter().map(execute).collect()
 }
 
 /// Builds the world and attacker hook for `case` — the precondition
@@ -502,34 +434,6 @@ mod tests {
     fn targets_classification() {
         assert!(AttackKind::V2xJam.targets_construction());
         assert!(!AttackKind::BleReplayOpen.targets_construction());
-    }
-
-    #[test]
-    fn batch_execution_matches_serial_execution() {
-        // A mixed suite spanning both world types, in interleaved order,
-        // so the batch has to split, run two lockstep batches, and
-        // reassemble results in input order.
-        let cases = vec![
-            case(AttackKind::V2xFlood { per_tick: 40 }, ControlSelection::none()),
-            case(AttackKind::BleReplayOpen, ControlSelection::none()),
-            case(AttackKind::V2xFakeLimit { limit: 130 }, ControlSelection::all()),
-            case(AttackKind::CanStubInject, ControlSelection::all()),
-            case(AttackKind::V2xJam, ControlSelection::all()),
-            case(
-                AttackKind::KeySpoof { strategy: KeyGuessStrategy::Random, budget: 10 },
-                ControlSelection { allow_list: false, ..ControlSelection::none() },
-            ),
-        ];
-        let serial: Vec<_> = cases.iter().map(execute).collect();
-        let batched = execute_batch(&cases);
-        assert_eq!(batched.len(), serial.len());
-        for (i, (b, s)) in batched.iter().zip(&serial).enumerate() {
-            assert_eq!(
-                serde_json::to_string(b).unwrap(),
-                serde_json::to_string(s).unwrap(),
-                "case {i}"
-            );
-        }
     }
 
     #[test]

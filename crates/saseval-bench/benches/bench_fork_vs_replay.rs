@@ -56,30 +56,5 @@ fn bench_fork_vs_replay(c: &mut Criterion) {
     group.finish();
 }
 
-/// Batched forks: a whole fuzzer batch stepped in lockstep vs the same
-/// forks answered one by one.
-fn bench_batched_forks(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fork_batched");
-    group.sample_size(10);
-    let attack_at = SimTime::from_millis(1_000);
-    let mut oracle = SimOracle::keyless(config(1_000), attack_at);
-    let inputs: Vec<Vec<u8>> = (0..32u8).map(|i| vec![i; 33]).collect();
-    group.bench_function(BenchmarkId::new("sequential", inputs.len()), |b| {
-        b.iter(|| {
-            for input in &inputs {
-                black_box(oracle.respond(input));
-            }
-        });
-    });
-    group.bench_function(BenchmarkId::new("lockstep", inputs.len()), |b| {
-        let mut out = Vec::new();
-        b.iter(|| {
-            oracle.respond_batch(&inputs, &mut out);
-            black_box(out.len());
-        });
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_fork_vs_replay, bench_batched_forks);
+criterion_group!(benches, bench_fork_vs_replay);
 criterion_main!(benches);

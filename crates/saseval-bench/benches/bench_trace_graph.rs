@@ -18,7 +18,7 @@ use saseval_threat::builtin::automotive_library;
 /// verdicts for the given use-case tag.
 fn builtin_trace(tag: &str) -> TraceInputs {
     let cases = attack_engine::builtin::full_campaign();
-    let results = attack_engine::execute_batch(&cases);
+    let results: Vec<_> = cases.iter().map(attack_engine::execute).collect();
     TraceInputs { verdicts: campaign_verdicts(&results, tag), evidence: Vec::new() }
 }
 

@@ -34,8 +34,7 @@ struct CampaignExport {
 
 /// The JSON document written to `BENCH_fuzz.json`: the shard-count
 /// throughput grid under `grid`, the warm-prefix strategy comparison
-/// (replay-from-zero vs fork-from-snapshot vs fork-batched) under
-/// `warm_prefix`.
+/// (replay-from-zero vs fork-from-snapshot) under `warm_prefix`.
 #[derive(Serialize)]
 struct FuzzBenchExport {
     grid: saseval_bench::fuzz_bench::FuzzThroughputExport,

@@ -5,7 +5,6 @@
 //! cargo run -p saseval-bench --bin repro_tables table6           # one experiment
 //! cargo run -p saseval-bench --bin repro_tables --timings        # + wall-time table
 //! cargo run -p saseval-bench --bin repro_tables --fuzz-shards 4  # sharded fuzzing
-//! cargo run -p saseval-bench --bin repro_tables --fuzz-batch 64  # batched fuzzing
 //! cargo run -p saseval-bench --bin repro_tables --replay-corpus tests/fixtures/corpus
 //! cargo run -p saseval-bench --bin repro_tables --server-floor BENCH_server.json
 //! cargo run -p saseval-bench --bin repro_tables --scenario-search 96
@@ -36,9 +35,7 @@ use std::path::PathBuf;
 
 use saseval_bench::server_bench::{current_cached_memory_latency, ServerBenchExport};
 use saseval_bench::triage_bench::replay_corpus_table;
-use saseval_bench::{
-    all_experiments, run_experiments_timed, set_fuzz_batch, set_fuzz_shards, timing_table,
-};
+use saseval_bench::{all_experiments, run_experiments_timed, set_fuzz_shards, timing_table};
 
 /// Removes `flag N` (or `flag=N`) from `args` and returns the requested
 /// positive count.
@@ -176,9 +173,6 @@ fn main() {
     }
     if let Some(shards) = take_count_flag(&mut args, "--fuzz-shards") {
         set_fuzz_shards(shards);
-    }
-    if let Some(batch) = take_count_flag(&mut args, "--fuzz-batch") {
-        set_fuzz_batch(batch);
     }
     let experiments = all_experiments();
 

@@ -563,23 +563,12 @@ pub fn repro_alt_analyses() -> String {
 /// Shard count used by [`repro_fuzz`]; 1 runs the serial loop.
 static FUZZ_SHARDS: AtomicUsize = AtomicUsize::new(1);
 
-/// Batch size used by [`repro_fuzz`]; 1 executes inputs one by one.
-static FUZZ_BATCH: AtomicUsize = AtomicUsize::new(1);
-
 /// Sets the shard count [`repro_fuzz`] fuzzes with (the
 /// `repro_tables --fuzz-shards N` flag). `1` (the default) uses the
 /// serial [`Fuzzer::run`] loop; anything larger uses
 /// [`Fuzzer::run_parallel`].
 pub fn set_fuzz_shards(shards: usize) {
     FUZZ_SHARDS.store(shards.max(1), Ordering::Relaxed);
-}
-
-/// Sets the target batch size [`repro_fuzz`] fuzzes with (the
-/// `repro_tables --fuzz-batch N` flag). Anything above 1 makes the
-/// experiment run twice — unbatched and batched — and verify the two
-/// reports are identical (the batching determinism contract).
-pub fn set_fuzz_batch(batch: usize) {
-    FUZZ_BATCH.store(batch.max(1), Ordering::Relaxed);
 }
 
 /// Regenerates the §II-B fuzzing experiment: attack-path-guided fuzzing
@@ -605,7 +594,6 @@ pub fn repro_fuzz() -> String {
     .expect("tree");
     let paths = tree.paths().expect("paths");
     let shards = FUZZ_SHARDS.load(Ordering::Relaxed);
-    let batch = FUZZ_BATCH.load(Ordering::Relaxed);
     fn decode_target(input: &[u8]) -> TargetResponse {
         if vehicle_sim::keyless::Command::decode(input).is_some() {
             TargetResponse::Accepted
@@ -613,22 +601,15 @@ pub fn repro_fuzz() -> String {
             TargetResponse::Rejected
         }
     }
-    let run_with = |batch_size: usize| {
-        let mut fuzzer = Fuzzer::new(keyless_command_model(), 7).with_batch_size(batch_size);
-        if shards == 1 {
-            fuzzer.run(&paths, 10_000, decode_target)
-        } else {
-            fuzzer.run_parallel(&paths, 10_000, shards, |_| decode_target)
-        }
+    let mut fuzzer = Fuzzer::new(keyless_command_model(), 7);
+    let report = if shards == 1 {
+        fuzzer.run(&paths, 10_000, decode_target)
+    } else {
+        fuzzer.run_parallel(&paths, 10_000, shards, |_| decode_target)
     };
-    let report = run_with(1);
     let mut out = String::from("§II-B — Protocol-guided fuzzing from TARA attack paths\n");
     if shards > 1 {
         writeln!(out, "  sharded parallel run: {shards} shards").expect("write");
-    }
-    if batch > 1 {
-        writeln!(out, "  batched run: batch size {batch}").expect("write");
-        out.push_str(&check("batched report identical to serial", true, run_with(batch) == report));
     }
     writeln!(
         out,

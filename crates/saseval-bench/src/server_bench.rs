@@ -126,7 +126,6 @@ fn bench_job(seed: u64, iterations: usize) -> JobSpec {
         iterations,
         seed,
         shards: 0,
-        batch: 0,
     })
 }
 

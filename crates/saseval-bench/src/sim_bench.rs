@@ -3,10 +3,9 @@
 //! oracle answers fuzz inputs when every input replays the world from
 //! `t = 0` tick by tick, versus the oracle itself — forking from a
 //! copy-on-write snapshot taken at the attack-activation time and
-//! running the tail through the next-event advance — one input at a
-//! time and through its `respond_batch` entry point.
+//! running the tail through the next-event advance.
 //!
-//! All three strategies answer every input identically (asserted here),
+//! Both strategies answer every input identically (asserted here),
 //! so the comparison measures the work
 //! [`WorldSnapshot`](vehicle_sim::WorldSnapshot) and the idle-tick
 //! advance save per input.
@@ -23,8 +22,7 @@ use vehicle_sim::ControlSelection;
 /// One measured execution strategy.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SimThroughputRow {
-    /// Strategy name: `replay-from-zero`, `fork-from-snapshot` or
-    /// `fork-batched`.
+    /// Strategy name: `replay-from-zero` or `fork-from-snapshot`.
     pub strategy: String,
     /// Inputs executed.
     pub inputs: usize,
@@ -41,14 +39,10 @@ pub struct SimThroughputExport {
     pub warm_prefix_ms: u64,
     /// Simulated time between attack activation and the horizon.
     pub tail_ms: u64,
-    /// Batch size used by the `fork-batched` row.
-    pub batch_size: usize,
     /// The measured rows, one per strategy.
     pub rows: Vec<SimThroughputRow>,
     /// Throughput of `fork-from-snapshot` over `replay-from-zero`.
     pub fork_speedup: f64,
-    /// Throughput of `fork-batched` over `replay-from-zero`.
-    pub batched_speedup: f64,
 }
 
 impl SimThroughputExport {
@@ -91,15 +85,14 @@ fn timed_row(strategy: &str, inputs: usize, run: impl FnOnce()) -> SimThroughput
     }
 }
 
-/// Measures all three strategies on the keyless oracle: a warm prefix of
+/// Measures both strategies on the keyless oracle: a warm prefix of
 /// `warm_prefix_ms` virtual milliseconds, a fuzzed tail of `tail_ms`, and
-/// `count` inputs per strategy. Panics if any strategy ever classifies an
+/// `count` inputs per strategy. Panics if the strategies ever classify an
 /// input differently — the speedup must never come from skipped work.
 pub fn measure_sim_strategies(
     warm_prefix_ms: u64,
     tail_ms: u64,
     count: usize,
-    batch_size: usize,
 ) -> SimThroughputExport {
     let config = bench_config(warm_prefix_ms, tail_ms);
     let attack_at = SimTime::from_millis(warm_prefix_ms);
@@ -133,38 +126,16 @@ pub fn measure_sim_strategies(
         }
     });
 
-    // The oracle's `respond_batch` in fuzzer-sized chunks. The oracle
-    // keeps the trait's per-input default (lockstep lanes cannot skip
-    // idle ticks one by one), so this row differs from
-    // `fork-from-snapshot` only by the chunked dispatch.
-    let mut batched = Vec::new();
-    let batch = timed_row("fork-batched", count, || {
-        let mut out = Vec::new();
-        for chunk in inputs.chunks(batch_size.max(1)) {
-            oracle.respond_batch(chunk, &mut out);
-            batched.append(&mut out);
-        }
-    });
-
     assert_eq!(replayed, forked, "fork-from-snapshot diverged from replay-from-zero");
-    assert_eq!(replayed, batched, "fork-batched diverged from replay-from-zero");
 
     let fork_speedup = fork.inputs_per_sec / replay.inputs_per_sec;
-    let batched_speedup = batch.inputs_per_sec / replay.inputs_per_sec;
-    SimThroughputExport {
-        warm_prefix_ms,
-        tail_ms,
-        batch_size,
-        rows: vec![replay, fork, batch],
-        fork_speedup,
-        batched_speedup,
-    }
+    SimThroughputExport { warm_prefix_ms, tail_ms, rows: vec![replay, fork], fork_speedup }
 }
 
 /// The configuration exported to `BENCH_fuzz.json` and EXPERIMENTS.md: a
-/// 20 s warm prefix, a 500 ms fuzzed tail, batches of 32.
+/// 20 s warm prefix and a 500 ms fuzzed tail.
 pub fn warm_prefix_comparison(count: usize) -> SimThroughputExport {
-    measure_sim_strategies(20_000, 500, count, 32)
+    measure_sim_strategies(20_000, 500, count)
 }
 
 #[cfg(test)]
@@ -177,22 +148,20 @@ mod tests {
         // plus one deep clone where the replay pays ~2 000 ticks, so the
         // expected speedup is well over an order of magnitude — asserting
         // >= 3x leaves a huge margin for noisy CI machines.
-        let export = measure_sim_strategies(20_000, 200, 12, 4);
+        let export = measure_sim_strategies(20_000, 200, 12);
         assert!(
             export.fork_speedup >= 3.0,
             "fork-from-snapshot only {:.2}x faster than replay-from-zero: {export:?}",
             export.fork_speedup
         );
-        assert_eq!(export.rows.len(), 3);
+        assert_eq!(export.rows.len(), 2);
         assert_eq!(export.row("replay-from-zero").inputs, 12);
-        assert!(export.row("fork-batched").inputs_per_sec > 0.0);
     }
 
     #[test]
     fn export_serializes_with_speedups() {
-        let export = measure_sim_strategies(1_000, 200, 6, 3);
+        let export = measure_sim_strategies(1_000, 200, 6);
         assert!(export.fork_speedup > 0.0);
-        assert!(export.batched_speedup > 0.0);
         let json = serde_json::to_string(&export).expect("serializable");
         assert!(json.contains("fork_speedup"));
         assert!(json.contains("replay-from-zero"));

@@ -10,14 +10,7 @@
 //! and one shard reproduces the serial output exactly.
 //!
 //! Targets are [`FuzzTarget`] oracles (closures adapt via
-//! [`ClosureTarget`]). A target with a genuinely batched
-//! [`FuzzTarget::respond_batch`] can be driven with
-//! [`Fuzzer::with_batch_size`]: execution is batched, but generation,
-//! coverage recording and response accounting stay in global iteration
-//! order, so the report is bit-identical for every batch size. The
-//! simulation oracle [`crate::sim_target::SimOracle`] keeps the default
-//! per-input delegation: each input's world skips its own idle ticks,
-//! which lockstep lanes could not.
+//! [`ClosureTarget`]), executed one input at a time.
 
 use std::collections::HashSet;
 use std::ops::Range;
@@ -48,27 +41,10 @@ pub enum TargetResponse {
 
 /// A fuzz target oracle: executes inputs and reports the observed
 /// behaviour. Closures `FnMut(&[u8]) -> TargetResponse` are adapted via
-/// [`ClosureTarget`]; a target may additionally override
-/// [`FuzzTarget::respond_batch`] so one dispatch executes many inputs.
-///
-/// Contract: `respond_batch` must produce exactly the responses that
-/// sequential [`FuzzTarget::respond`] calls over the same inputs would.
-/// The fuzzer's bit-identical-report guarantee across batch sizes relies
-/// on this; the default implementation delegates input by input, so it
-/// holds trivially unless overridden.
+/// [`ClosureTarget`].
 pub trait FuzzTarget {
     /// Executes one input.
     fn respond(&mut self, input: &[u8]) -> TargetResponse;
-
-    /// Executes a batch of inputs, writing one response per input — in
-    /// input order — into `out`. Implementations must clear `out` first.
-    fn respond_batch(&mut self, inputs: &[Vec<u8>], out: &mut Vec<TargetResponse>) {
-        out.clear();
-        for input in inputs {
-            let response = self.respond(input);
-            out.push(response);
-        }
-    }
 }
 
 /// Adapts a `FnMut(&[u8]) -> TargetResponse` closure as a [`FuzzTarget`].
@@ -161,7 +137,6 @@ pub struct Fuzzer {
     base_seed: u64,
     obs: Obs,
     triage: Option<TriageConfig>,
-    batch_size: usize,
 }
 
 impl std::fmt::Debug for Fuzzer {
@@ -215,212 +190,73 @@ struct ShardObs<'a> {
     emit_cell_batches: bool,
 }
 
-/// Generation-time record of one input awaiting its target response.
-struct PendingMeta {
-    iteration: usize,
-    path_index: usize,
-    coverage_delta: usize,
-}
-
-/// Mutable per-shard accounting shared by the sequential and batched
-/// execution paths of [`run_shard`], so the two cannot drift apart.
-struct ShardState {
-    coverage: CoverageMap,
-    seen_crashes: HashSet<Vec<u8>>,
-    findings: Vec<Finding>,
-    accepted: usize,
-    rejected: usize,
-    reported_cells: usize,
-    executed: usize,
-    batch_start: Instant,
-}
-
-impl ShardState {
-    fn new(coverage: CoverageMap) -> Self {
-        ShardState {
-            coverage,
-            seen_crashes: HashSet::new(),
-            findings: Vec::new(),
-            accepted: 0,
-            rejected: 0,
-            reported_cells: 0,
-            executed: 0,
-            batch_start: Instant::now(),
-        }
-    }
-
-    /// Generates input `i` into the scratch buffer and records its
-    /// coverage, returning the metadata later accounting needs. Strictly
-    /// sequential in iteration order in both execution modes — the
-    /// mutator's RNG stream and the coverage bitset never observe
-    /// batching.
-    fn generate_and_record(
-        &mut self,
-        mutator: &mut Mutator,
-        paths: &[AttackPath],
-        i: usize,
-        input: &mut GeneratedInput,
-    ) -> PendingMeta {
-        let path_index = if paths.is_empty() { 0 } else { i % paths.len() };
-        if i.is_multiple_of(10) {
-            mutator.generate_valid_into(input);
-        } else {
-            mutator.generate_into(input);
-        }
-        let cells_before = self.coverage.cells();
-        if !paths.is_empty() {
-            self.coverage.record(path_index, input);
-        }
-        PendingMeta {
-            iteration: i,
-            path_index,
-            coverage_delta: self.coverage.cells() - cells_before,
-        }
-    }
-
-    /// Accounts one `(input, response)` pair, in global iteration order —
-    /// identical bookkeeping whether the response arrived one by one or
-    /// from a batched flush.
-    fn account(
-        &mut self,
-        paths: &[AttackPath],
-        shard_obs: &ShardObs<'_>,
-        meta: &PendingMeta,
-        bytes: &[u8],
-        response: TargetResponse,
-    ) {
-        match response {
-            TargetResponse::Accepted => self.accepted += 1,
-            TargetResponse::Rejected => self.rejected += 1,
-            TargetResponse::Crash => {
-                if self.seen_crashes.insert(bytes.to_vec()) {
-                    self.findings.push(Finding {
-                        path_index: meta.path_index,
-                        path_goal: paths
-                            .get(meta.path_index)
-                            .map(|p| p.goal().to_owned())
-                            .unwrap_or_default(),
-                        input: bytes.to_vec(),
-                        iteration: meta.iteration,
-                        coverage_delta: meta.coverage_delta,
-                    });
-                }
-            }
-        }
-        self.executed += 1;
-        if shard_obs.obs.is_enabled() && self.executed.is_multiple_of(OBS_BATCH) {
-            let elapsed = self.batch_start.elapsed().as_secs_f64();
-            if elapsed > 0.0 {
-                shard_obs.obs.gauge(shard_obs.throughput_gauge, OBS_BATCH as f64 / elapsed);
-            }
-            if shard_obs.emit_cell_batches {
-                let delta = (self.coverage.cells() - self.reported_cells) as u64;
-                shard_obs.obs.counter("fuzz.coverage_cells", delta);
-                self.reported_cells = self.coverage.cells();
-            }
-            self.batch_start = Instant::now();
-        }
-    }
-
-    fn into_outcome(self, shard: usize) -> ShardOutcome {
-        ShardOutcome {
-            shard,
-            accepted: self.accepted,
-            rejected: self.rejected,
-            findings: self.findings,
-            coverage: self.coverage,
-            reported_cells: self.reported_cells,
-        }
-    }
-}
-
-/// Hands the pending inputs to the target's batched dispatch and accounts
-/// the responses in iteration order.
-///
-/// # Panics
-///
-/// Panics when the target's [`FuzzTarget::respond_batch`] violates its
-/// contract by returning a different number of responses than inputs.
-fn flush_pending(
-    target: &mut dyn FuzzTarget,
-    state: &mut ShardState,
-    paths: &[AttackPath],
-    shard_obs: &ShardObs<'_>,
-    inputs: &mut Vec<Vec<u8>>,
-    meta: &mut Vec<PendingMeta>,
-    responses: &mut Vec<TargetResponse>,
-) {
-    if inputs.is_empty() {
-        return;
-    }
-    target.respond_batch(inputs, responses);
-    assert_eq!(responses.len(), inputs.len(), "respond_batch must return one response per input");
-    for ((meta, bytes), response) in meta.drain(..).zip(inputs.drain(..)).zip(responses.drain(..)) {
-        state.account(paths, shard_obs, &meta, &bytes, response);
-    }
-}
-
 /// The core fuzz loop over one iteration range. Used by both the serial
 /// run and every parallel shard, so a one-shard parallel run is the
 /// serial run.
 ///
-/// With `batch_size <= 1` (the default) the loop is allocation-free per
-/// input: generation writes into one reusable [`GeneratedInput`] scratch
-/// buffer and coverage recording is bitset arithmetic; only rare events
-/// allocate (a new unique crash clones its input bytes). With a larger
-/// batch size, generation and coverage recording stay strictly sequential
-/// in iteration order while target execution is deferred into
-/// [`FuzzTarget::respond_batch`] flushes (buffering one input clone per
-/// pending slot) whose responses are accounted in iteration order — so
-/// the shard outcome is bit-identical for every batch size.
+/// The loop is allocation-free per input: generation writes into one
+/// reusable [`GeneratedInput`] scratch buffer and coverage recording is
+/// bitset arithmetic; only rare events allocate (a new unique crash
+/// clones its input bytes).
 fn run_shard(
     mutator: &mut Mutator,
     paths: &[AttackPath],
     range: Range<usize>,
     shard: usize,
     target: &mut dyn FuzzTarget,
-    batch_size: usize,
     shard_obs: &ShardObs<'_>,
 ) -> ShardOutcome {
-    let mut state = ShardState::new(CoverageMap::new(mutator.model(), paths.len()));
+    let mut coverage = CoverageMap::new(mutator.model(), paths.len());
+    let mut seen_crashes: HashSet<Vec<u8>> = HashSet::new();
+    let mut findings = Vec::new();
+    let (mut accepted, mut rejected, mut reported_cells, mut executed) = (0, 0, 0, 0usize);
+    let mut batch_start = Instant::now();
     let mut input = GeneratedInput::empty();
-    if batch_size <= 1 {
-        for i in range {
-            let meta = state.generate_and_record(mutator, paths, i, &mut input);
-            let response = target.respond(&input.bytes);
-            state.account(paths, shard_obs, &meta, &input.bytes, response);
+    for i in range {
+        let path_index = if paths.is_empty() { 0 } else { i % paths.len() };
+        if i.is_multiple_of(10) {
+            mutator.generate_valid_into(&mut input);
+        } else {
+            mutator.generate_into(&mut input);
         }
-    } else {
-        let mut pending_inputs: Vec<Vec<u8>> = Vec::with_capacity(batch_size);
-        let mut pending_meta: Vec<PendingMeta> = Vec::with_capacity(batch_size);
-        let mut responses: Vec<TargetResponse> = Vec::with_capacity(batch_size);
-        for i in range {
-            let meta = state.generate_and_record(mutator, paths, i, &mut input);
-            pending_inputs.push(input.bytes.clone());
-            pending_meta.push(meta);
-            if pending_inputs.len() == batch_size {
-                flush_pending(
-                    target,
-                    &mut state,
-                    paths,
-                    shard_obs,
-                    &mut pending_inputs,
-                    &mut pending_meta,
-                    &mut responses,
-                );
+        let cells_before = coverage.cells();
+        if !paths.is_empty() {
+            coverage.record(path_index, &input);
+        }
+        let coverage_delta = coverage.cells() - cells_before;
+        match target.respond(&input.bytes) {
+            TargetResponse::Accepted => accepted += 1,
+            TargetResponse::Rejected => rejected += 1,
+            TargetResponse::Crash => {
+                if seen_crashes.insert(input.bytes.clone()) {
+                    findings.push(Finding {
+                        path_index,
+                        path_goal: paths
+                            .get(path_index)
+                            .map(|p| p.goal().to_owned())
+                            .unwrap_or_default(),
+                        input: input.bytes.clone(),
+                        iteration: i,
+                        coverage_delta,
+                    });
+                }
             }
         }
-        flush_pending(
-            target,
-            &mut state,
-            paths,
-            shard_obs,
-            &mut pending_inputs,
-            &mut pending_meta,
-            &mut responses,
-        );
+        executed += 1;
+        if shard_obs.obs.is_enabled() && executed.is_multiple_of(OBS_BATCH) {
+            let elapsed = batch_start.elapsed().as_secs_f64();
+            if elapsed > 0.0 {
+                shard_obs.obs.gauge(shard_obs.throughput_gauge, OBS_BATCH as f64 / elapsed);
+            }
+            if shard_obs.emit_cell_batches {
+                let delta = (coverage.cells() - reported_cells) as u64;
+                shard_obs.obs.counter("fuzz.coverage_cells", delta);
+                reported_cells = coverage.cells();
+            }
+            batch_start = Instant::now();
+        }
     }
-    state.into_outcome(shard)
+    ShardOutcome { shard, accepted, rejected, findings, coverage, reported_cells }
 }
 
 /// Merges shard outcomes into one report with a canonical ordering:
@@ -477,22 +313,14 @@ impl Fuzzer {
             base_seed: seed,
             obs: Obs::noop(),
             triage: None,
-            batch_size: 1,
         }
     }
 
-    /// Sets how many pending inputs are handed to the target per
-    /// [`FuzzTarget::respond_batch`] dispatch (clamped to at least 1; the
-    /// default of 1 executes inputs one by one on the exact sequential
-    /// code path).
+    /// Returns the fuzzer unchanged: inputs always run one at a time.
     ///
-    /// Batching never changes the report: input generation and coverage
-    /// recording stay strictly sequential in iteration order and
-    /// responses are accounted in iteration order, so for any batch size
-    /// the merged [`FuzzReport`] is bit-identical to the sequential run —
-    /// provided the target honours the [`FuzzTarget`] batching contract.
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        self.batch_size = batch_size.max(1);
+    /// Exists only because the `perfbench/` harness calls it; remove it
+    /// in the next change that edits `perfbench/`.
+    pub fn with_batch_size(self, _batch_size: usize) -> Self {
         self
     }
 
@@ -532,10 +360,7 @@ impl Fuzzer {
         self.run_target(paths, iterations, &mut ClosureTarget(target))
     }
 
-    /// [`Fuzzer::run`] over a [`FuzzTarget`] oracle. Honours
-    /// [`Fuzzer::with_batch_size`]: pending inputs are executed through
-    /// the target's [`FuzzTarget::respond_batch`] without changing the
-    /// report.
+    /// [`Fuzzer::run`] over a [`FuzzTarget`] oracle.
     pub fn run_target(
         &mut self,
         paths: &[AttackPath],
@@ -548,15 +373,7 @@ impl Fuzzer {
             throughput_gauge: "fuzz.inputs_per_sec",
             emit_cell_batches: true,
         };
-        let outcome = run_shard(
-            &mut self.mutator,
-            paths,
-            0..iterations,
-            0,
-            target,
-            self.batch_size,
-            &shard_obs,
-        );
+        let outcome = run_shard(&mut self.mutator, paths, 0..iterations, 0, target, &shard_obs);
         let reported = outcome.reported_cells;
         let (report, cells, out_of_range) = merge_shard_outcomes(vec![outcome], iterations);
         self.obs.counter("fuzz.inputs", iterations as u64);
@@ -603,10 +420,7 @@ impl Fuzzer {
         })
     }
 
-    /// [`Fuzzer::run_parallel`] over [`FuzzTarget`] oracles. Honours
-    /// [`Fuzzer::with_batch_size`] inside every shard; the determinism
-    /// contract is unchanged because batching never alters a shard's
-    /// outcome.
+    /// [`Fuzzer::run_parallel`] over [`FuzzTarget`] oracles.
     pub fn run_parallel_targets<T, F>(
         &self,
         paths: &[AttackPath],
@@ -642,9 +456,9 @@ impl Fuzzer {
     {
         let shards = shards.max(1);
         // Auto-degrade: more shard *threads* than hardware threads is
-        // pure overhead (BENCH_fuzz.json measured 4-15% on a 1-core
-        // container), so shard jobs are packed onto at most
-        // `max_threads` scoped threads. Everything deterministic —
+        // pure overhead (4-15% on a 1-core container, EXPERIMENTS.md),
+        // so shard jobs are packed onto at most `max_threads` scoped
+        // threads. Everything deterministic —
         // per-shard seeds, iteration ranges, the merge — stays keyed off
         // the requested shard count, so clamping can never change the
         // report.
@@ -689,7 +503,6 @@ impl Fuzzer {
                                     range,
                                     shard,
                                     &mut target,
-                                    self.batch_size,
                                     &shard_obs,
                                 )
                             })
@@ -1023,80 +836,6 @@ mod tests {
         let report = fuzzer.run_parallel(&paths(), 5, 16, |_| |_: &[u8]| TargetResponse::Rejected);
         assert_eq!(report.iterations, 5);
         assert_eq!(report.accepted + report.rejected, 5);
-    }
-
-    /// A target whose `respond_batch` really is batched (computed over
-    /// the whole slice in one call), exercising the flush path end to
-    /// end.
-    struct BatchyTarget {
-        batched_calls: usize,
-    }
-
-    impl FuzzTarget for BatchyTarget {
-        fn respond(&mut self, input: &[u8]) -> TargetResponse {
-            crashy_target(input)
-        }
-
-        fn respond_batch(&mut self, inputs: &[Vec<u8>], out: &mut Vec<TargetResponse>) {
-            self.batched_calls += 1;
-            out.clear();
-            out.extend(inputs.iter().map(|input| crashy_target(input)));
-        }
-    }
-
-    #[test]
-    fn batched_run_is_bit_identical_to_serial() {
-        let mut serial = Fuzzer::new(v2x_warning_model(), 11);
-        let serial_report = serial.run(&paths(), 2_000, crashy_target);
-        // Batch sizes that divide the range, leave a remainder flush, and
-        // exceed it entirely (one flush at the end).
-        for batch_size in [2usize, 7, 64, 3_000] {
-            let mut fuzzer = Fuzzer::new(v2x_warning_model(), 11).with_batch_size(batch_size);
-            let mut target = BatchyTarget { batched_calls: 0 };
-            let report = fuzzer.run_target(&paths(), 2_000, &mut target);
-            assert_eq!(report, serial_report, "batch size {batch_size}");
-            assert!(target.batched_calls > 0, "batched dispatch used");
-        }
-    }
-
-    #[test]
-    fn batched_parallel_matches_unbatched_parallel() {
-        let unbatched =
-            Fuzzer::new(v2x_warning_model(), 9).run_parallel(&paths(), 3_000, 3, |_| crashy_target);
-        let batched = Fuzzer::new(v2x_warning_model(), 9).with_batch_size(16).run_parallel_targets(
-            &paths(),
-            3_000,
-            3,
-            |_| BatchyTarget { batched_calls: 0 },
-        );
-        assert_eq!(unbatched, batched);
-    }
-
-    #[test]
-    fn zero_batch_size_clamps_to_sequential() {
-        let mut sequential = Fuzzer::new(v2x_warning_model(), 12);
-        let expected = sequential.run(&paths(), 500, crashy_target);
-        let mut clamped = Fuzzer::new(v2x_warning_model(), 12).with_batch_size(0);
-        assert_eq!(clamped.run(&paths(), 500, crashy_target), expected);
-    }
-
-    struct ShortBatch;
-
-    impl FuzzTarget for ShortBatch {
-        fn respond(&mut self, _: &[u8]) -> TargetResponse {
-            TargetResponse::Rejected
-        }
-
-        fn respond_batch(&mut self, _inputs: &[Vec<u8>], out: &mut Vec<TargetResponse>) {
-            out.clear(); // zero responses for a non-empty batch
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "one response per input")]
-    fn respond_batch_length_mismatch_is_rejected() {
-        let mut fuzzer = Fuzzer::new(v2x_warning_model(), 1).with_batch_size(8);
-        fuzzer.run_target(&paths(), 100, &mut ShortBatch);
     }
 
     #[test]

@@ -21,10 +21,7 @@
 //!   ([`Fuzzer::run_parallel`](fuzzer::Fuzzer::run_parallel)) loops share
 //!   one allocation-free core; the parallel merge is deterministic per
 //!   shard count, and one shard reproduces the serial output exactly.
-//!   Targets implement [`FuzzTarget`]; batched
-//!   targets are driven via
-//!   [`Fuzzer::with_batch_size`](fuzzer::Fuzzer::with_batch_size) without
-//!   changing the report,
+//!   Targets implement [`FuzzTarget`] and run one input at a time,
 //! * [`sim_target`] backs the oracle with the vehicle worlds: every input
 //!   forks from a copy-on-write world snapshot taken at attack-activation
 //!   time, and the attacker-free prefix and tail run through the worlds'

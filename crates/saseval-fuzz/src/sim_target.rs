@@ -16,10 +16,7 @@
 //! so they run through the worlds' next-event `advance_unattacked`,
 //! which skips (keyless) or reduces to kinematics (construction) every
 //! tick that provably does nothing, bit-identically to tick-by-tick
-//! stepping. Each input runs alone: the oracle keeps the trait's
-//! default per-input [`FuzzTarget::respond_batch`], because lockstep
-//! lanes cannot skip idle ticks one by one, so `Fuzzer::with_batch_size`
-//! stays report-neutral by construction.
+//! stepping.
 //!
 //! The warm prefix must be attacker-free: classification attributes log
 //! entries from [`FUZZ_SENDER`] to the injected input, which holds
@@ -138,9 +135,6 @@ mod tests {
     use vehicle_sim::ControlSelection;
 
     use super::*;
-    use crate::fuzzer::Fuzzer;
-    use crate::model::{keyless_command_model, v2x_warning_model};
-    use saseval_tara::tree::{AttackTree, TreeNode};
 
     fn short_keyless(controls: ControlSelection) -> KeylessConfig {
         KeylessConfig { horizon: Ftti::from_secs(2), controls, ..Default::default() }
@@ -176,68 +170,5 @@ mod tests {
         // sender.
         let response = oracle.respond(&[2, 200]);
         assert_eq!(response, TargetResponse::Rejected);
-    }
-
-    #[test]
-    fn batched_responses_match_sequential_responses() {
-        let inputs: Vec<Vec<u8>> = vec![
-            open_command(),
-            vec![],
-            vec![1, 2, 3],
-            Command { cmd: 2, key_id: 1, ts: 0, response: 0, tag: 0 }.encode(),
-            vec![0; 33],
-        ];
-        for controls in [ControlSelection::none(), ControlSelection::all()] {
-            let mut oracle = SimOracle::keyless(short_keyless(controls), SimTime::from_millis(100));
-            let sequential: Vec<_> = inputs.iter().map(|input| oracle.respond(input)).collect();
-            let mut batched = Vec::new();
-            oracle.respond_batch(&inputs, &mut batched);
-            assert_eq!(batched, sequential);
-        }
-    }
-
-    #[test]
-    fn batched_fuzz_over_sim_oracle_is_bit_identical_to_serial() {
-        let paths = AttackTree::new(
-            "Open the vehicle",
-            TreeNode::leaf_on("send forged open command", "BLE_PHONE"),
-        )
-        .unwrap()
-        .paths()
-        .unwrap();
-        let config = KeylessConfig {
-            horizon: Ftti::from_millis(300),
-            controls: ControlSelection::none(),
-            ..Default::default()
-        };
-        let mut oracle = SimOracle::keyless(config, SimTime::from_millis(50));
-        let serial =
-            Fuzzer::new(keyless_command_model(), 21).run_target(&paths, 40, &mut oracle.clone());
-        let batched = Fuzzer::new(keyless_command_model(), 21).with_batch_size(8).run_target(
-            &paths,
-            40,
-            &mut oracle,
-        );
-        assert_eq!(serial, batched);
-        assert_eq!(serial.iterations, 40);
-    }
-
-    #[test]
-    fn construction_batched_fuzz_matches_serial() {
-        let paths =
-            AttackTree::new("disrupt warnings", TreeNode::leaf_on("spoof signage", "OBU_RSU"))
-                .unwrap()
-                .paths()
-                .unwrap();
-        let config = ConstructionConfig { horizon: Ftti::from_millis(300), ..Default::default() };
-        let mut oracle = SimOracle::construction(config, SimTime::from_millis(50));
-        let serial =
-            Fuzzer::new(v2x_warning_model(), 3).run_target(&paths, 24, &mut oracle.clone());
-        let batched = Fuzzer::new(v2x_warning_model(), 3).with_batch_size(6).run_target(
-            &paths,
-            24,
-            &mut oracle,
-        );
-        assert_eq!(serial, batched);
     }
 }

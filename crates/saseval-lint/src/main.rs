@@ -162,7 +162,8 @@ fn load_scenarios(files: &[String]) -> Result<Vec<ScenarioDocument>, String> {
 /// carry a known bare ID) and verdict IDs are catalog-local.
 fn builtin_verdicts(tag: &str) -> Vec<VerdictRecord> {
     let cases = attack_engine::builtin::full_campaign();
-    saseval_lint::graph::campaign_verdicts(&attack_engine::execute_batch(&cases), tag)
+    let results: Vec<_> = cases.iter().map(attack_engine::execute).collect();
+    saseval_lint::graph::campaign_verdicts(&results, tag)
 }
 
 /// Lowercase-kebab form of a run label, for report file names.

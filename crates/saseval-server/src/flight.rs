@@ -307,7 +307,6 @@ mod tests {
             iterations: 8,
             seed: 1,
             shards: 1,
-            batch: 1,
         });
         let mut memo = KeyMemo::new(2);
         assert!(memo.lookup("a").is_none());

@@ -234,11 +234,6 @@ pub struct FuzzJob {
     /// key: different shard counts draw different input streams.
     #[serde(default)]
     pub shards: usize,
-    /// Batch size for lockstep world stepping; 0 → 16. *Not* part of
-    /// the cache key — batching is proven report-neutral (the PR 6
-    /// batched-equals-serial property), so canonicalization erases it.
-    #[serde(default)]
-    pub batch: usize,
 }
 
 /// A built-in campaign suite, addressable over the wire.
@@ -409,7 +404,6 @@ impl JobSpec {
                 iterations: job.iterations,
                 seed: job.seed,
                 shards: job.shards.max(1),
-                batch: if job.batch == 0 { 16 } else { job.batch },
             }),
             JobSpec::Campaign(job) => JobSpec::Campaign(job),
             JobSpec::Lint(job) => JobSpec::Lint(job.normalized()),
@@ -427,14 +421,10 @@ impl JobSpec {
         }
     }
 
-    /// The canonical spec string the cache key hashes: normalized, with
-    /// payload-neutral tuning knobs erased (`batch` — see [`FuzzJob`]).
+    /// The canonical spec string the cache key hashes: the normalized
+    /// spec, serialized.
     pub fn canonical_json(self) -> String {
-        let mut canonical = self.normalized();
-        if let JobSpec::Fuzz(job) = &mut canonical {
-            job.batch = 0;
-        }
-        serde_json::to_string(&canonical).expect("job specs always serialize")
+        serde_json::to_string(&self.normalized()).expect("job specs always serialize")
     }
 
     /// The content-addressed cache key under the given code-version
@@ -502,7 +492,6 @@ mod tests {
             iterations: 64,
             seed: 9,
             shards: 0,
-            batch: 0,
         })
     }
 
@@ -528,11 +517,8 @@ mod tests {
     }
 
     #[test]
-    fn batch_is_erased_from_the_key_but_shards_are_not() {
+    fn shards_are_part_of_the_key() {
         let base = keyless_job();
-        let JobSpec::Fuzz(mut batched) = base else { unreachable!() };
-        batched.batch = 64;
-        assert_eq!(JobSpec::Fuzz(batched).cache_key(), base.cache_key());
         let JobSpec::Fuzz(mut sharded) = base else { unreachable!() };
         sharded.shards = 2;
         assert_ne!(JobSpec::Fuzz(sharded).cache_key(), base.cache_key());

@@ -9,8 +9,8 @@
 //!
 //! * [`job`] — wire-level job specs ([`job::JobSpec`]) with a
 //!   canonicalization pipeline: spelling differences (field order,
-//!   explicitly-spelled defaults, unknown fields) and payload-neutral
-//!   knobs (batch size) are erased before hashing, and the fnv1a64 key
+//!   explicitly-spelled defaults, unknown fields) are erased before
+//!   hashing, and the fnv1a64 key
 //!   is chained with a code-version fingerprint so a stale result can
 //!   never be served across code changes.
 //! * [`cache`] — a two-tier content-addressed store

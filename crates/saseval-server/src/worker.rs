@@ -6,8 +6,8 @@
 //! every fuzz job, and each job's oracle forks from a
 //! [`WorldSnapshot`] warm prefix held resident in the shared
 //! [`SnapshotStore`] — so a job on a known scenario never pays world
-//! construction, only the forks. Campaign jobs run through the
-//! attack engine's lockstep batch executor.
+//! construction, only the forks. Campaign jobs run the attack engine's
+//! serial campaign runner.
 //!
 //! [`run_job`] is a pure function of the (normalized) spec: same spec,
 //! same code version → byte-identical [`JobPayload`]. That purity is
@@ -33,7 +33,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use attack_engine::campaign::run_campaign_batched_with_obs;
+use attack_engine::campaign::run_campaign_with_obs;
 use saseval_fuzz::fuzzer::Fuzzer;
 use saseval_fuzz::model::{keyless_command_model, v2x_warning_model};
 use saseval_fuzz::sim_target::SimOracle;
@@ -159,7 +159,7 @@ fn run_fuzz_job(job: FuzzJob, snapshots: &SnapshotStore, obs: &Obs) -> JobPayloa
         ScenarioSpec::Keyless(_) => keyless_command_model(),
         ScenarioSpec::Construction(_) => v2x_warning_model(),
     };
-    let fuzzer = Fuzzer::new(model, job.seed).with_batch_size(job.batch).with_obs(obs.clone());
+    let fuzzer = Fuzzer::new(model, job.seed).with_obs(obs.clone());
     let report =
         fuzzer.run_parallel_targets(&paths, job.iterations, job.shards, |_| oracle.clone());
     JobPayload::Fuzz(report)
@@ -172,7 +172,7 @@ fn run_campaign_job(job: CampaignJob, obs: &Obs) -> JobPayload {
             case.seed = job.seed;
         }
     }
-    JobPayload::Campaign(run_campaign_batched_with_obs(&cases, obs))
+    JobPayload::Campaign(run_campaign_with_obs(&cases, obs))
 }
 
 fn run_lint_job(job: LintJob, obs: &Obs) -> JobPayload {
@@ -182,7 +182,7 @@ fn run_lint_job(job: LintJob, obs: &Obs) -> JobPayload {
     // see real verdicts; its results are mapped into catalog-local
     // attack IDs exactly as the lint CLI does.
     let trace = job.suite.map(|suite| {
-        let results = attack_engine::execute_batch(&suite.cases());
+        let results: Vec<_> = suite.cases().iter().map(attack_engine::execute).collect();
         TraceInputs {
             verdicts: campaign_verdicts(&results, job.catalog.tag()),
             evidence: Vec::new(),
@@ -203,7 +203,7 @@ fn run_lint_job(job: LintJob, obs: &Obs) -> JobPayload {
 
 /// Executes `spec` to its deterministic payload. Fuzz jobs fork from
 /// the store's resident warm prefix; campaign jobs run the attack
-/// engine's lockstep batch executor; lint jobs run the trace-graph
+/// engine's serial campaign runner; lint jobs run the trace-graph
 /// static analysis. Metrics land on `obs`.
 pub fn run_job(spec: JobSpec, snapshots: &SnapshotStore, obs: &Obs) -> JobPayload {
     match spec.normalized() {
@@ -496,22 +496,15 @@ mod tests {
             iterations: 24,
             seed: 21,
             shards: 2,
-            batch: 8,
         })
     }
 
     #[test]
-    fn run_job_is_deterministic_and_batch_neutral() {
+    fn run_job_is_deterministic() {
         let snapshots = SnapshotStore::new();
         let first = run_job(small_fuzz_spec(), &snapshots, &Obs::noop()).to_bytes();
         let second = run_job(small_fuzz_spec(), &snapshots, &Obs::noop()).to_bytes();
         assert_eq!(first, second);
-        // A different batch size must not change the payload (the knob
-        // canonicalization erases from the cache key).
-        let JobSpec::Fuzz(mut job) = small_fuzz_spec() else { unreachable!() };
-        job.batch = 1;
-        let serial = run_job(JobSpec::Fuzz(job), &snapshots, &Obs::noop()).to_bytes();
-        assert_eq!(first, serial);
     }
 
     #[test]

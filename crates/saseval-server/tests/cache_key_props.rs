@@ -49,13 +49,12 @@ fn spell_fuzz_job(job: &FuzzJob, rot: usize, omit_defaults: bool, unknown: bool)
         ("iterations".into(), JsonValue::U64(job.iterations as u64)),
         ("seed".into(), JsonValue::U64(job.seed)),
         ("shards".into(), JsonValue::U64(job.shards as u64)),
-        ("batch".into(), JsonValue::U64(job.batch as u64)),
     ];
     let job_len = job_fields.len();
     job_fields.rotate_left(rot % job_len);
     if omit_defaults {
         job_fields.retain(|(name, value)| {
-            !matches!((name.as_str(), value), ("shards" | "batch", JsonValue::U64(0)))
+            !matches!((name.as_str(), value), ("shards", JsonValue::U64(0)))
         });
     }
     if unknown {
@@ -89,14 +88,8 @@ fn scenario_strategy() -> impl Strategy<Value = ScenarioSpec> {
 }
 
 fn fuzz_job_strategy() -> impl Strategy<Value = FuzzJob> {
-    (scenario_strategy(), 1usize..512, 0u64..u64::MAX / 2, 0usize..4, 0usize..64).prop_map(
-        |(scenario, iterations, seed, shards, batch)| FuzzJob {
-            scenario,
-            iterations,
-            seed,
-            shards,
-            batch,
-        },
+    (scenario_strategy(), 1usize..512, 0u64..u64::MAX / 2, 0usize..4).prop_map(
+        |(scenario, iterations, seed, shards)| FuzzJob { scenario, iterations, seed, shards },
     )
 }
 
@@ -141,13 +134,18 @@ proptest! {
     }
 
     #[test]
-    fn batch_never_changes_the_key(job in fuzz_job_strategy(), batch in 0usize..256) {
-        let mut rebatched = job;
-        rebatched.batch = batch;
-        prop_assert_eq!(
-            JobSpec::Fuzz(rebatched).cache_key(),
-            JobSpec::Fuzz(job).cache_key()
-        );
+    fn batch_on_the_wire_never_changes_the_key(
+        job in fuzz_job_strategy(),
+        batch in 0usize..256,
+    ) {
+        // Older clients send a `batch` knob; the server ignores it as an
+        // unknown field.
+        let spec = JobSpec::Fuzz(job);
+        let compact = serde_json::to_string(&spec).expect("specs serialize");
+        let open = compact.strip_suffix("}}").expect("a Fuzz object");
+        let wire = format!("{open},\"batch\":{batch}}}}}");
+        let parsed: JobSpec = serde_json::from_str(&wire).expect("old wire text parses");
+        prop_assert_eq!(parsed.cache_key(), spec.cache_key());
     }
 
     #[test]

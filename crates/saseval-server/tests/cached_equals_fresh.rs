@@ -45,7 +45,7 @@ fn small_job_strategy() -> impl Strategy<Value = JobSpec> {
                     attack_at_ms: 100,
                 })
             };
-            JobSpec::Fuzz(FuzzJob { scenario, iterations, seed, shards, batch: 0 })
+            JobSpec::Fuzz(FuzzJob { scenario, iterations, seed, shards })
         },
     );
     let campaign = (prop_oneof![Just(SuiteName::Jamming), Just(SuiteName::Ad08)], 0u64..100)

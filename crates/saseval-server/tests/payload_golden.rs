@@ -11,11 +11,16 @@
 //! The matrix covers both demonstrator worlds under all three control
 //! presets at three (horizon, attack) timings — including a keyless
 //! tail long enough to cross a BLE supervision drop — at shard counts
-//! 1–3 and batch sizes 1/7/16, twenty small scenario searches, the
+//! 1–3, twenty small scenario searches, the
 //! cheap `Jamming`/`Ad08` campaigns on the attacked path, the
 //! flood-heavy `Full`/`Ad20`/`CanFlood`/`Ablation` campaigns, static
 //! lint jobs over both catalogs, and one lint job fed by executed AD20
 //! verdicts.
+//!
+//! Fuzz rows are submitted as wire text that still carries the `batch`
+//! field (1/7/16) older clients send. The server ignores it as an
+//! unknown field, and the wire text is the row label, so these rows
+//! prove such clients keep getting identical payloads.
 
 use saseval_fuzz::scenario::ScenarioSpace;
 use saseval_obs::Obs;
@@ -34,7 +39,14 @@ const PRESETS: [ControlsPreset; 3] =
     [ControlsPreset::All, ControlsPreset::None, ControlsPreset::AuthOnly];
 const BATCHES: [usize; 3] = [1, 7, 16];
 
-fn fuzz_matrix() -> Vec<JobSpec> {
+/// Labels each spec with its compact JSON.
+fn labelled(jobs: Vec<JobSpec>) -> Vec<(String, JobSpec)> {
+    jobs.into_iter()
+        .map(|spec| (serde_json::to_string(&spec).expect("specs serialize"), spec))
+        .collect()
+}
+
+fn fuzz_matrix() -> Vec<(String, JobSpec)> {
     let mut jobs = Vec::new();
     for keyless in [true, false] {
         for controls in PRESETS {
@@ -54,13 +66,17 @@ fn fuzz_matrix() -> Vec<JobSpec> {
                         })
                     };
                     let i = jobs.len();
-                    jobs.push(JobSpec::Fuzz(FuzzJob {
+                    let spec = JobSpec::Fuzz(FuzzJob {
                         scenario,
                         iterations: 64,
                         seed: 1_000 + i as u64,
                         shards,
-                        batch: BATCHES[i % BATCHES.len()],
-                    }));
+                    });
+                    let compact = serde_json::to_string(&spec).expect("specs serialize");
+                    let open = compact.strip_suffix("}}").expect("a Fuzz object");
+                    let wire = format!("{open},\"batch\":{}}}}}", BATCHES[i % BATCHES.len()]);
+                    let parsed = serde_json::from_str(&wire).expect("old wire text parses");
+                    jobs.push((wire, parsed));
                 }
             }
         }
@@ -117,12 +133,11 @@ fn campaign_and_lint_matrix() -> Vec<JobSpec> {
 
 /// Runs every job and compares `(spec, payload hash)` rows against the
 /// golden table; on mismatch the panic message is the regenerated table.
-fn check(jobs: Vec<JobSpec>, golden: &[(&str, u64)]) {
+fn check(rows: Vec<(String, JobSpec)>, golden: &[(&str, u64)]) {
     let snapshots = SnapshotStore::new();
-    let actual: Vec<(String, u64)> = jobs
+    let actual: Vec<(String, u64)> = rows
         .into_iter()
-        .map(|spec| {
-            let label = serde_json::to_string(&spec).expect("specs serialize");
+        .map(|(label, spec)| {
             let bytes = run_job(spec, &snapshots, &Obs::noop()).to_bytes();
             (label, fnv1a64(&bytes))
         })
@@ -147,12 +162,12 @@ fn fuzz_payloads_match_golden() {
 
 #[test]
 fn scenario_search_payloads_match_golden() {
-    check(scenario_matrix(), SCENARIO_GOLDEN);
+    check(labelled(scenario_matrix()), SCENARIO_GOLDEN);
 }
 
 #[test]
 fn campaign_and_lint_payloads_match_golden() {
-    check(campaign_and_lint_matrix(), CAMPAIGN_LINT_GOLDEN);
+    check(labelled(campaign_and_lint_matrix()), CAMPAIGN_LINT_GOLDEN);
 }
 
 const FUZZ_GOLDEN: &[(&str, u64)] = &[

@@ -564,9 +564,8 @@ impl ConstructionWorld {
         }
     }
 
-    /// Driver take-over completion and acceleration decision — the
-    /// per-world part of a tick that precedes the (batchable) kinematics
-    /// integration.
+    /// Driver take-over completion and acceleration decision — the part
+    /// of a tick that precedes the kinematics integration.
     fn driver_decision_tick(&mut self) {
         if let ControlMode::TakeOverRequested { complete_at } = self.mode {
             if self.now >= complete_at {
@@ -590,24 +589,17 @@ impl ConstructionWorld {
     }
 
     /// Everything in a tick up to (but excluding) the kinematics
-    /// integration: RSU broadcast, OBU admission, driver decision. The
-    /// batched stepper runs this per world, then integrates all lanes in
-    /// one struct-of-arrays pass.
-    pub(crate) fn pre_kinematics_tick(&mut self) {
+    /// integration: RSU broadcast, OBU admission, driver decision.
+    fn pre_kinematics_tick(&mut self) {
         self.rsu_tick();
         self.traffic_tick();
         self.obu_tick();
         self.driver_decision_tick();
     }
 
-    /// Overwrites the vehicle's kinematic state from the batch lanes.
-    pub(crate) fn sync_kinematics(&mut self, position_m: f64, speed_mps: f64, accel_mps2: f64) {
-        self.vehicle.set_state(position_m, speed_mps, accel_mps2);
-    }
-
     /// Advances virtual time past the just-integrated tick and latches
     /// the end condition.
-    pub(crate) fn commit_tick(&mut self) {
+    fn commit_tick(&mut self) {
         self.now += self.config.tick;
         self.ticks += 1;
         if self.vehicle.position_m() >= self.config.site_position_m {

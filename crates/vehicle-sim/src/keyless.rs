@@ -581,7 +581,7 @@ impl KeylessWorld {
     /// The attacker-independent part of one tick: owner-script drain
     /// (via the allocation-free [`EventQueue::pop_due_into`]), gateway
     /// admission, lock actuation, time advance.
-    pub(crate) fn tick_body(&mut self) {
+    fn tick_body(&mut self) {
         let mut actions = std::mem::take(&mut self.action_buf);
         self.owner_script.pop_due_into(self.now, &mut actions);
         for action in actions.drain(..) {
@@ -900,5 +900,27 @@ mod tests {
         assert!(outcome.lock_open, "replay reopens the vehicle: {outcome:?}");
         assert!(outcome.sg01_violated, "reopening without a pending request violates SG01");
         assert!(outcome.transitions >= 3);
+    }
+
+    #[test]
+    fn sibling_forks_from_one_snapshot_diverge_independently() {
+        // Warm a world to t = 1 s, snapshot, fork three siblings, inject a
+        // different owner action into each and step them tick by tick in
+        // turn; every fork must see only its own injection.
+        let mut base = world();
+        base.run_until(SimTime::from_secs(1), &mut ());
+        let snapshot = base.snapshot();
+        let mut forks: Vec<_> = (0..3).map(|_| snapshot.fork()).collect();
+        forks[0].schedule_owner_open(SimTime::from_secs(2));
+        forks[1].schedule_owner_open(SimTime::from_secs(2));
+        forks[1].schedule_owner_close(SimTime::from_secs(6));
+        // forks[2] gets nothing.
+        while forks.iter_mut().fold(false, |stepped, fork| fork.step(&mut ()) | stepped) {}
+        let outcomes: Vec<_> = forks.into_iter().map(KeylessWorld::into_outcome).collect();
+        assert!(outcomes[0].lock_open, "{:?}", outcomes[0]);
+        assert!(!outcomes[1].lock_open, "{:?}", outcomes[1]);
+        assert_eq!(outcomes[1].transitions, 2);
+        assert_eq!(outcomes[2].transitions, 0);
+        assert!(outcomes.iter().all(|o| !o.sg01_violated), "owner actions are authorized");
     }
 }

@@ -29,7 +29,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod config;
 pub mod construction;
 mod error;
@@ -38,7 +37,6 @@ pub mod keyless;
 pub mod trace;
 pub mod vehicle;
 
-pub use batch::{ConstructionBatch, KeylessBatch};
 pub use config::ControlSelection;
 pub use error::SimError;
 pub use trace::{TraceEvent, TraceRecorder};

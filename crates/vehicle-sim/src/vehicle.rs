@@ -52,44 +52,17 @@ impl Vehicle {
         self.accel_mps2 = accel_mps2;
     }
 
-    /// Overwrites the full kinematic state. Used by the batched
-    /// struct-of-arrays stepper to sync lane vectors back into the world;
-    /// crate-private so external callers cannot teleport vehicles.
-    pub(crate) fn set_state(&mut self, position_m: f64, speed_mps: f64, accel_mps2: f64) {
-        self.position_m = position_m;
-        self.speed_mps = speed_mps;
-        self.accel_mps2 = accel_mps2;
-    }
-
-    /// One kinematics step as a pure function of `(position, speed,
-    /// accel, dt)` returning the post-step triple. [`Vehicle::step`] and
-    /// the struct-of-arrays batch stepper both call this, so batched and
-    /// per-world stepping are bit-identical by construction.
-    pub fn step_kinematics(
-        position_m: f64,
-        speed_mps: f64,
-        accel_mps2: f64,
-        dt_secs: f64,
-    ) -> (f64, f64, f64) {
-        let new_speed = (speed_mps + accel_mps2 * dt_secs).max(0.0);
-        // Trapezoidal position update, clamped at the standstill point.
-        let avg = (speed_mps + new_speed) / 2.0;
-        let position = position_m + avg * dt_secs;
-        let accel = if new_speed == 0.0 && accel_mps2 < 0.0 { 0.0 } else { accel_mps2 };
-        (position, new_speed, accel)
-    }
-
     /// Advances the kinematics by `dt`. Speed never goes negative.
     pub fn step(&mut self, dt: Ftti) {
-        let (position, speed, accel) = Self::step_kinematics(
-            self.position_m,
-            self.speed_mps,
-            self.accel_mps2,
-            dt.as_secs_f64(),
-        );
-        self.position_m = position;
-        self.speed_mps = speed;
-        self.accel_mps2 = accel;
+        let dt_secs = dt.as_secs_f64();
+        let new_speed = (self.speed_mps + self.accel_mps2 * dt_secs).max(0.0);
+        // Trapezoidal position update, clamped at the standstill point.
+        let avg = (self.speed_mps + new_speed) / 2.0;
+        self.position_m += avg * dt_secs;
+        if new_speed == 0.0 && self.accel_mps2 < 0.0 {
+            self.accel_mps2 = 0.0;
+        }
+        self.speed_mps = new_speed;
     }
 
     /// Braking distance from the current speed at constant deceleration

@@ -31,9 +31,6 @@ cargo test -q
 echo "==> sharded fuzzing smoke: repro_tables fuzz --fuzz-shards 2"
 cargo run -q --release -p saseval-bench --bin repro_tables -- fuzz --fuzz-shards 2
 
-echo "==> batched fuzzing smoke: repro_tables fuzz --fuzz-batch 64 (batched == serial)"
-cargo run -q --release -p saseval-bench --bin repro_tables -- fuzz --fuzz-batch 64
-
 echo "==> regression corpus: cargo test --test corpus_replay"
 cargo test -q --test corpus_replay
 

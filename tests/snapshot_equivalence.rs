@@ -8,8 +8,8 @@
 //!    fork never leak into the fork (and vice versa);
 //! 3. the frozen snapshot itself never advances;
 //! 4. fuzzing through the simulation oracle produces bit-identical
-//!    reports whether inputs execute one by one, in batches, or across
-//!    shards with batches;
+//!    reports serially and on one shard, and reproducible reports at a
+//!    fixed shard count;
 //! 5. from the same fork, the attacker-free next-event advance
 //!    (`advance_unattacked`, which skips or shortens provably idle
 //!    ticks) ends exactly where tick-by-tick `step(&mut ())` does:
@@ -159,12 +159,11 @@ proptest! {
         prop_assert_eq!(json(&fork.into_outcome()), reference_outcome);
     }
 
-    /// Fuzzing through the simulation oracle: sequential, batched, and
-    /// sharded-batched executions all produce the identical report.
+    /// Fuzzing through the simulation oracle: a one-shard parallel run
+    /// produces the serial report.
     #[test]
-    fn sim_oracle_fuzzing_is_batch_invariant(
+    fn sim_oracle_one_shard_fuzzing_equals_serial(
         seed in any::<u64>(),
-        batch_size in 2usize..24,
         attack_ms in 0u64..200,
     ) {
         let config = KeylessConfig {
@@ -177,23 +176,16 @@ proptest! {
 
         let serial = Fuzzer::new(keyless_command_model(), seed)
             .run_target(&attack_paths, 30, &mut oracle.clone());
-        let batched = Fuzzer::new(keyless_command_model(), seed)
-            .with_batch_size(batch_size)
-            .run_target(&attack_paths, 30, &mut oracle.clone());
-        prop_assert_eq!(&serial, &batched);
-
-        let sharded_batched = Fuzzer::new(keyless_command_model(), seed)
-            .with_batch_size(batch_size)
+        let one_shard = Fuzzer::new(keyless_command_model(), seed)
             .run_parallel_targets(&attack_paths, 30, 1, |_| oracle.clone());
-        prop_assert_eq!(&serial, &sharded_batched);
+        prop_assert_eq!(&serial, &one_shard);
     }
 }
 
-/// Sharded + batched parallel runs stay deterministic for a fixed shard
-/// count, and batching never changes the merged report at any shard
-/// count.
+/// Sharded parallel runs through the simulation oracle stay
+/// deterministic for a fixed shard count.
 #[test]
-fn sharded_batched_fuzzing_is_deterministic_and_batch_invariant() {
+fn sharded_sim_oracle_fuzzing_is_reproducible() {
     let config = KeylessConfig {
         horizon: Ftti::from_millis(300),
         controls: ControlSelection::none(),
@@ -202,15 +194,15 @@ fn sharded_batched_fuzzing_is_deterministic_and_batch_invariant() {
     let oracle = SimOracle::keyless(config, SimTime::from_millis(50));
     let attack_paths = paths();
     for shards in [2usize, 3] {
-        let run =
-            |batch: usize| {
-                Fuzzer::new(keyless_command_model(), 17)
-                    .with_batch_size(batch)
-                    .run_parallel_targets(&attack_paths, 48, shards, |_| oracle.clone())
-            };
-        let unbatched = run(1);
-        assert_eq!(unbatched, run(1), "{shards} shards reproducible");
-        assert_eq!(unbatched, run(8), "{shards} shards, batch 8");
+        let run = || {
+            Fuzzer::new(keyless_command_model(), 17).run_parallel_targets(
+                &attack_paths,
+                48,
+                shards,
+                |_| oracle.clone(),
+            )
+        };
+        assert_eq!(run(), run(), "{shards} shards reproducible");
     }
 }
 
