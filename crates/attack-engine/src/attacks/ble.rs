@@ -96,7 +96,6 @@ impl AttackerHook<KeylessWorld> for ReplayOpen {
         // Find the first sniffed OPEN command.
         let recorded = world
             .sniffed()
-            .iter()
             .find(|p| Command::decode(p).is_some_and(|c| c.cmd == CMD_OPEN))
             .cloned();
         if let Some(frame) = recorded {

@@ -54,14 +54,11 @@ impl AttackerHook<ConstructionWorld> for AuthenticatedFlood {
         if distance > self.within_m || distance <= 0.0 {
             return;
         }
-        for i in 0..self.per_tick {
-            // "extra messages … in chaotic way" (Table VI): validly
-            // signed frames of a non-warning type, useless but
-            // budget-consuming.
-            let payload = Bytes::from_static(&FLOOD_PAYLOADS[i % FLOOD_PAYLOADS.len()]);
-            let msg = world.signed_message_bytes(Arc::clone(&self.sender), payload, now);
-            world.channel_mut().broadcast(msg, now);
-        }
+        // "extra messages … in chaotic way" (Table VI): validly signed
+        // frames of a non-warning type, useless but budget-consuming.
+        let payloads = (0..self.per_tick)
+            .map(|i| Bytes::from_static(&FLOOD_PAYLOADS[i % FLOOD_PAYLOADS.len()]));
+        world.broadcast_signed(&self.sender, payloads, now);
     }
 }
 

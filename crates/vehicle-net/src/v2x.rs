@@ -139,6 +139,9 @@ pub struct V2xChannel {
     config: V2xConfig,
     rng: StdRng,
     in_flight: Vec<(SimTime, V2xMessage)>,
+    /// Arrival times of unread messages ([`V2xChannel::broadcast_unread`]):
+    /// only their reception is left to count.
+    unread_in_flight: Vec<SimTime>,
     jam_until: Option<SimTime>,
     stats: V2xStats,
     obs: Obs,
@@ -148,6 +151,7 @@ impl std::fmt::Debug for V2xChannel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("V2xChannel")
             .field("in_flight", &self.in_flight.len())
+            .field("unread_in_flight", &self.unread_in_flight.len())
             .field("jam_until", &self.jam_until)
             .field("stats", &self.stats)
             .finish()
@@ -165,6 +169,7 @@ impl V2xChannel {
             config,
             rng: StdRng::seed_from_u64(seed),
             in_flight: Vec::new(),
+            unread_in_flight: Vec::new(),
             jam_until: None,
             stats: V2xStats::default(),
             obs: Obs::noop(),
@@ -185,6 +190,27 @@ impl V2xChannel {
     /// Broadcasts a message at `now`. Returns the scheduled arrival time,
     /// or `None` if the frame was lost (random loss or jamming).
     pub fn broadcast(&mut self, msg: V2xMessage, now: SimTime) -> Option<SimTime> {
+        let arrival = self.draw_arrival(now)?;
+        self.in_flight.push((arrival, msg));
+        Some(arrival)
+    }
+
+    /// Broadcasts, at `now`, a message its receiver will certainly drop on
+    /// arrival. The channel makes the same send-time decisions and RNG
+    /// draws as [`V2xChannel::broadcast`], in the same order, and counts
+    /// the arrival as delivered or jammed exactly as it would count the
+    /// message's, but keeps no message: [`V2xChannel::poll`] never returns
+    /// one for it.
+    pub fn broadcast_unread(&mut self, now: SimTime) -> Option<SimTime> {
+        let arrival = self.draw_arrival(now)?;
+        self.unread_in_flight.push(arrival);
+        Some(arrival)
+    }
+
+    /// The send-time part of a broadcast: counts the frame, drops it when
+    /// the channel is jammed or the loss draw hits, and otherwise draws
+    /// its jitter and returns its arrival time.
+    fn draw_arrival(&mut self, now: SimTime) -> Option<SimTime> {
         self.stats.sent += 1;
         self.obs.counter("net.v2x.sent", 1);
         if self.is_jammed(now) {
@@ -202,9 +228,7 @@ impl V2xChannel {
         } else {
             self.rng.random_range(0..=self.config.jitter_us)
         };
-        let arrival = now + Ftti::from_micros(self.config.latency_us + jitter);
-        self.in_flight.push((arrival, msg));
-        Some(arrival)
+        Some(now + Ftti::from_micros(self.config.latency_us + jitter))
     }
 
     /// Returns messages whose arrival time is `≤ now`, in arrival order.
@@ -219,22 +243,40 @@ impl V2xChannel {
     /// `delivered` is cleared first. Receivers that poll every tick keep
     /// one buffer alive across ticks, so steady-state polling performs no
     /// per-tick allocation; undelivered in-flight messages stay in place
-    /// rather than being rebuilt into a fresh vector.
+    /// rather than being rebuilt into a fresh vector. Due unread arrivals
+    /// are counted as delivered or jammed but never handed out.
     pub fn poll_into(&mut self, now: SimTime, delivered: &mut Vec<V2xMessage>) {
         delivered.clear();
         self.in_flight.sort_by_key(|(t, _)| *t);
         let due = self.in_flight.partition_point(|(arrival, _)| *arrival <= now);
+        let mut jammed = 0;
         for (arrival, msg) in self.in_flight.drain(..due) {
             if self.jam_until.is_some_and(|until| arrival < until) {
-                self.stats.jammed += 1;
-                self.obs.counter("net.v2x.jammed", 1);
+                jammed += 1;
             } else {
-                self.stats.delivered += 1;
                 delivered.push(msg);
             }
         }
-        if !delivered.is_empty() {
-            self.obs.counter("net.v2x.delivered", delivered.len() as u64);
+        let mut unread_delivered = 0;
+        self.unread_in_flight.retain(|&arrival| {
+            if arrival > now {
+                return true;
+            }
+            if self.jam_until.is_some_and(|until| arrival < until) {
+                jammed += 1;
+            } else {
+                unread_delivered += 1;
+            }
+            false
+        });
+        if jammed > 0 {
+            self.stats.jammed += jammed;
+            self.obs.counter("net.v2x.jammed", jammed);
+        }
+        let delivered_total = delivered.len() as u64 + unread_delivered;
+        if delivered_total > 0 {
+            self.stats.delivered += delivered_total;
+            self.obs.counter("net.v2x.delivered", delivered_total);
         }
     }
 
@@ -252,11 +294,12 @@ impl V2xChannel {
         self.jam_until.is_some_and(|until| t < until)
     }
 
-    /// Whether nothing is in flight. [`V2xChannel::poll`] on an idle
-    /// channel delivers nothing and leaves the channel unchanged, so a
-    /// caller stepping in fixed ticks may skip it.
+    /// Whether nothing is in flight, unread arrivals included.
+    /// [`V2xChannel::poll`] on an idle channel delivers nothing and leaves
+    /// the channel unchanged, so a caller stepping in fixed ticks may skip
+    /// it.
     pub fn is_idle(&self) -> bool {
-        self.in_flight.is_empty()
+        self.in_flight.is_empty() && self.unread_in_flight.is_empty()
     }
 
     /// Cumulative statistics.
@@ -404,6 +447,35 @@ mod tests {
         assert!(!ch.is_idle());
         assert!(ch.poll(SimTime::from_millis(21)).is_empty());
         assert!(ch.is_idle());
+    }
+
+    #[test]
+    fn unread_broadcasts_draw_and_count_like_messages() {
+        let config = V2xConfig { latency_us: 1_000, jitter_us: 900, loss_prob: 0.3 };
+        let mut read = V2xChannel::new(config, 5);
+        let mut unread = V2xChannel::new(config, 5);
+        for i in 0..200u64 {
+            let now = SimTime::from_micros(i * 100);
+            if i == 120 {
+                // In-flight arrivals before 13 ms are jammed at the poll.
+                read.jam(SimTime::from_millis(13));
+                unread.jam(SimTime::from_millis(13));
+            }
+            assert_eq!(read.broadcast(msg("A", now), now), unread.broadcast_unread(now));
+            if i % 7 == 0 {
+                read.poll(now);
+                assert!(unread.poll(now).is_empty(), "unread arrivals are never handed out");
+                assert_eq!(read.stats(), unread.stats());
+                assert_eq!(read.is_idle(), unread.is_idle());
+            }
+        }
+        assert!(!unread.is_idle());
+        read.poll(SimTime::from_secs(1));
+        unread.poll(SimTime::from_secs(1));
+        assert!(unread.is_idle());
+        assert_eq!(read.stats(), unread.stats());
+        let stats = unread.stats();
+        assert!(stats.delivered > 0 && stats.lost > 0 && stats.jammed > 0, "{stats:?}");
     }
 
     #[test]

@@ -375,6 +375,33 @@ impl ConstructionWorld {
         V2xMessage::new(sender, msg_type, payload, at).with_auth_tag(tag.raw())
     }
 
+    /// Signs each payload as `sender` at `at` and broadcasts it at `at` —
+    /// the authenticated attacker's (AD20) injection primitive.
+    ///
+    /// A message is *unread* when the OBU will certainly drop it on
+    /// arrival: its service has shut down, or `sender` is isolated.
+    /// Neither state is ever undone, so the decision holds from send time
+    /// on. Unread messages are neither built nor signed; each costs only
+    /// its [`V2xChannel::broadcast_unread`] draws and counts, which keeps
+    /// the channel's RNG stream and statistics as if it had been sent.
+    pub fn broadcast_signed(
+        &mut self,
+        sender: &Arc<str>,
+        payloads: impl IntoIterator<Item = Bytes>,
+        at: SimTime,
+    ) {
+        if !self.service_alive || self.stack.is_isolated(sender) {
+            for _ in payloads {
+                self.channel.broadcast_unread(at);
+            }
+            return;
+        }
+        for payload in payloads {
+            let msg = self.signed_message_bytes(Arc::clone(sender), payload, at);
+            self.channel.broadcast(msg, at);
+        }
+    }
+
     /// Whether the RSU broadcasts on this tick: the vehicle is in range
     /// of the site and the warning period has elapsed.
     fn rsu_broadcast_due(&self) -> bool {

@@ -210,7 +210,9 @@ pub struct KeylessWorld {
     /// The gateway's CAN node name, built once and shared by every frame
     /// it forwards.
     gateway_node: Arc<str>,
-    sniffed: Vec<Bytes>,
+    /// The eavesdropping feed as runs of equal consecutive payloads: a
+    /// flood repeating one request is one entry, not one per send.
+    sniffed: Vec<(Bytes, u32)>,
     trace: TraceRecorder,
     obs: Obs,
     ticks: u64,
@@ -333,11 +335,15 @@ impl KeylessWorld {
         &self.can
     }
 
-    /// All payloads ever sent on the radio — the attacker's eavesdropping
-    /// feed (replay attacks record from here). Each entry shares the sent
-    /// frame's buffer.
-    pub fn sniffed(&self) -> &[Bytes] {
-        &self.sniffed
+    /// All payloads ever sent on the radio, in send order — the
+    /// attacker's eavesdropping feed (replay attacks record from here).
+    /// Each payload shares the sent frame's buffer; a payload sent several
+    /// times in a row is stored once with its count and yielded once per
+    /// send.
+    pub fn sniffed(&self) -> impl Iterator<Item = &Bytes> + '_ {
+        self.sniffed
+            .iter()
+            .flat_map(|(payload, sends)| std::iter::repeat_n(payload, *sends as usize))
     }
 
     /// The gateway's security log.
@@ -411,7 +417,10 @@ impl KeylessWorld {
             }
         }
         let payload = payload.into();
-        self.sniffed.push(payload.clone());
+        match self.sniffed.last_mut() {
+            Some((last, sends)) if *last == payload && *sends < u32::MAX => *sends += 1,
+            _ => self.sniffed.push((payload.clone(), 1)),
+        }
         let _ = self.link.send(sender, payload, self.now);
     }
 
@@ -850,7 +859,8 @@ mod tests {
                 // Wait until the owner's frame is on the air, then replay
                 // it after the owner closed again.
                 if !self.done && now >= SimTime::from_secs(8) {
-                    if let Some(frame) = world.sniffed().first().cloned() {
+                    let recorded = world.sniffed().next().cloned();
+                    if let Some(frame) = recorded {
                         world.send_ble(OWNER_PHONE, frame);
                         self.done = true;
                     }
@@ -878,7 +888,8 @@ mod tests {
         impl AttackerHook<KeylessWorld> for Replay {
             fn on_tick(&mut self, world: &mut KeylessWorld, now: SimTime) {
                 if !self.done && now >= SimTime::from_secs(8) {
-                    if let Some(frame) = world.sniffed().first().cloned() {
+                    let recorded = world.sniffed().next().cloned();
+                    if let Some(frame) = recorded {
                         world.send_ble(OWNER_PHONE, frame);
                         self.done = true;
                     }

@@ -28,6 +28,11 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+echo "==> unread flood path: equivalence proptests in release, 256 cases"
+# The properties keep proptest's default configuration, which reads
+# PROPTEST_CASES; tier-1 runs them with the default 64 cases.
+PROPTEST_CASES=256 cargo test -q --release --test unread_flood_equivalence
+
 echo "==> sharded fuzzing smoke: repro_tables fuzz --fuzz-shards 2"
 cargo run -q --release -p saseval-bench --bin repro_tables -- fuzz --fuzz-shards 2
 

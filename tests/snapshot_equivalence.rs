@@ -16,6 +16,8 @@
 //!    outcome, trace, security log, `now`, every obs counter and event
 //!    (`world.*.ticks` included), and link, bus and channel statistics.
 
+mod common;
+
 use bytes::Bytes;
 use proptest::prelude::*;
 
@@ -23,7 +25,7 @@ use saseval::fuzz::fuzzer::Fuzzer;
 use saseval::fuzz::model::keyless_command_model;
 use saseval::fuzz::sim_target::SimOracle;
 use saseval::net::ble::BleConfig;
-use saseval::net::v2x::{V2xConfig, V2xMessage};
+use saseval::net::v2x::V2xMessage;
 use saseval::obs::Obs;
 use saseval::sim::construction::{ConstructionConfig, ConstructionWorld, MSG_RELEASE};
 use saseval::sim::keyless::{Command, KeylessConfig, KeylessWorld, CMD_OPEN, CMD_SERVICE};
@@ -32,6 +34,8 @@ use saseval::sim::ControlSelection;
 use saseval::tara::tree::{AttackTree, TreeNode};
 use saseval::tara::AttackPath;
 use saseval::types::{Ftti, SimTime};
+
+use common::{construction_observation, controls_for, json, v2x_profile};
 
 fn paths() -> Vec<AttackPath> {
     AttackTree::new(
@@ -47,14 +51,6 @@ fn paths() -> Vec<AttackPath> {
     .expect("tree")
     .paths()
     .expect("paths")
-}
-
-fn controls_for(selector: u8) -> ControlSelection {
-    match selector % 3 {
-        0 => ControlSelection::all(),
-        1 => ControlSelection::none(),
-        _ => ControlSelection { challenge_response: false, ..ControlSelection::all() },
-    }
 }
 
 fn keyless_config(seed: u64, controls: u8, horizon_ms: u64) -> KeylessConfig {
@@ -73,10 +69,6 @@ fn scheduled_keyless(config: &KeylessConfig, open_ms: u64, close_ms: u64) -> Key
     world.schedule_owner_open(SimTime::from_millis(open_ms));
     world.schedule_owner_close(SimTime::from_millis(close_ms));
     world
-}
-
-fn json<T: serde::Serialize>(value: &T) -> String {
-    serde_json::to_string(value).expect("serializable")
 }
 
 proptest! {
@@ -221,15 +213,6 @@ fn ble_profile(selector: u8) -> BleConfig {
     }
 }
 
-/// V2X profiles: nominal, lossy and jammed.
-fn v2x_profile(selector: u8) -> V2xConfig {
-    match selector % 3 {
-        0 => ConstructionConfig::default().v2x,
-        1 => V2xConfig { latency_us: 5_000, jitter_us: 1_500, loss_prob: 0.10 },
-        _ => V2xConfig { latency_us: 10_000, jitter_us: 3_000, loss_prob: 0.45 },
-    }
-}
-
 /// What is injected at the fork point, before the attacker-free tail.
 #[derive(Debug, Clone)]
 enum KeylessInjection {
@@ -329,6 +312,9 @@ enum ConstructionInjection {
     SignedRelease,
     /// `n` signed messages at once: enough to overflow the OBU queue.
     Flood(usize),
+    /// `n` unread messages at once, as AD20 sends to a shut-down OBU or
+    /// from an isolated sender: arrivals the channel still counts.
+    UnreadFlood(usize),
 }
 
 fn construction_injection() -> impl Strategy<Value = ConstructionInjection> {
@@ -337,6 +323,7 @@ fn construction_injection() -> impl Strategy<Value = ConstructionInjection> {
         proptest::collection::vec(any::<u8>(), 0..8).prop_map(ConstructionInjection::Raw),
         Just(ConstructionInjection::SignedRelease),
         (1usize..400).prop_map(ConstructionInjection::Flood),
+        (1usize..400).prop_map(ConstructionInjection::UnreadFlood),
     ]
 }
 
@@ -366,24 +353,12 @@ fn inject_construction(
                 world.channel_mut().broadcast(msg, now);
             }
         }
+        ConstructionInjection::UnreadFlood(n) => {
+            for _ in 0..*n {
+                world.channel_mut().broadcast_unread(now);
+            }
+        }
     }
-}
-
-fn construction_observation(
-    mut world: ConstructionWorld,
-    recorder: &saseval::obs::MemoryRecorder,
-) -> String {
-    let channel = world.channel_mut().stats();
-    let head = json(&(
-        world.now(),
-        world.trace(),
-        world.security_log().events(),
-        channel,
-        world.vehicle().position_m().to_bits(),
-        world.vehicle().speed_mps().to_bits(),
-    ));
-    let outcome = json(&world.into_outcome());
-    format!("{head}\n{outcome}\n{}", json(&recorder.snapshot()))
 }
 
 fn assert_construction_advance_equivalent(fork: &ConstructionWorld, checkpoints: &[SimTime]) {
@@ -562,4 +537,17 @@ fn construction_advance_through_takeover_to_zone_entry() {
         &world,
         &[SimTime::from_secs(30), SimTime::from_secs(40)],
     );
+}
+
+/// Unread arrivals in flight long before the RSU range, where every
+/// tick without them is quiet: the advance must poll them on the tick
+/// they arrive, as ticking does, and not leave them in the channel.
+#[test]
+fn construction_advance_polls_unread_arrivals() {
+    let config = ConstructionConfig { horizon: Ftti::from_secs(3), ..Default::default() };
+    let mut world = ConstructionWorld::new(config);
+    world.run_until(SimTime::from_secs(1), &mut ());
+    inject_construction(&mut world, &ConstructionInjection::UnreadFlood(40), None);
+    assert!(!world.channel_mut().is_idle(), "unread arrivals are in flight");
+    assert_construction_advance_equivalent(&world, &[SimTime::from_micros(1_010_001)]);
 }
