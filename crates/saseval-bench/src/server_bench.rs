@@ -6,12 +6,14 @@
 //! coalescing burst measuring executions-per-request under concurrent
 //! identical fresh submissions.
 //!
-//! Terminology, fixed by the warm-pool design:
+//! Terminology:
 //!
-//! * **cold** — first request for a scenario on a non-prewarmed server:
-//!   pays world construction, the warm-prefix freeze *and* the fuzz run.
-//! * **warm** — same scenario, different seed: the resident prefix is
-//!   forked, so only the fuzz run is paid.
+//! * **cold** — first request on a fresh server: pays world
+//!   construction, the warm-prefix freeze and the fuzz run.
+//! * **warm** — same scenario, different seed, on the same server. A
+//!   fuzz job builds its own prefix, so this row pays the same stages as
+//!   the cold one; the two differ only by seed (and by whatever the
+//!   first request on a server warms up in the process).
 //! * **cached (memory)** — exact repeat: answered from the in-memory
 //!   LRU without touching the worker pool.
 //! * **cached (disk)** — exact repeat against a restarted server over
@@ -231,8 +233,7 @@ fn coalescing_burst(addr: std::net::SocketAddr, clients: usize, spec: JobSpec) -
 /// `repro_tables --server-floor` regression guard compares this
 /// against the committed export's cached-memory row.
 pub fn current_cached_memory_latency(job_iterations: usize, samples: usize) -> f64 {
-    let server =
-        Server::start(ServerConfig { prewarm: false, ..Default::default() }).expect("bind");
+    let server = Server::start(ServerConfig::default()).expect("bind");
     let addr = server.addr();
     let mut client = Client::connect(&addr).expect("connect");
     client.submit("seed", &job_json(bench_job(11, job_iterations))).expect("fresh run");
@@ -256,13 +257,9 @@ pub fn measure_server(job_iterations: usize) -> ServerBenchExport {
         std::env::temp_dir().join(format!("saseval-server-bench-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&cache_dir);
 
-    // Prewarm off so the first request is genuinely cold: it pays world
-    // construction and the prefix freeze on top of the fuzz run.
-    let config = || ServerConfig {
-        cache_dir: Some(cache_dir.clone()),
-        prewarm: false,
-        ..Default::default()
-    };
+    // The first request pays world construction and the prefix freeze
+    // on top of the fuzz run; so does every later fuzz job.
+    let config = || ServerConfig { cache_dir: Some(cache_dir.clone()), ..Default::default() };
     let server = Server::start(config()).expect("bind");
     let addr = server.addr();
 

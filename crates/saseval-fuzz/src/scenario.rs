@@ -855,7 +855,11 @@ impl ScenarioSearch {
     }
 }
 
-fn attack_paths(world: WorldKind) -> Vec<AttackPath> {
+/// The fixed attack paths a fuzz run against `world` cycles through: one
+/// built-in single-leaf tree per demonstrator, on the interface the TARA
+/// names for its use case (`BLE_PHONE` for keyless entry, `OBU_RSU` for
+/// the construction site).
+pub fn attack_paths(world: WorldKind) -> Vec<AttackPath> {
     let tree = match world {
         WorldKind::Keyless => AttackTree::new(
             "Open the vehicle",

@@ -85,26 +85,14 @@ impl SimOracle {
     /// `config` to `attack_at`, freezes it, and fuzzes BLE payloads from
     /// there.
     pub fn keyless(config: KeylessConfig, attack_at: SimTime) -> Self {
-        Self::keyless_from(KeylessWorld::warm_snapshot(config, attack_at))
-    }
-
-    /// Keyless oracle over a caller-prepared snapshot (e.g. a prefix with
-    /// scheduled owner actions). The prefix must not have seen
-    /// [`FUZZ_SENDER`].
-    pub fn keyless_from(snapshot: WorldSnapshot<KeylessWorld>) -> Self {
-        SimOracle { scenario: Scenario::Keyless(snapshot) }
+        SimOracle { scenario: Scenario::Keyless(KeylessWorld::warm_snapshot(config, attack_at)) }
     }
 
     /// Construction-site (Use Case I) oracle: runs an attacker-free world
     /// under `config` to `attack_at`, freezes it, and fuzzes V2X payloads
     /// from there.
     pub fn construction(config: ConstructionConfig, attack_at: SimTime) -> Self {
-        Self::construction_from(ConstructionWorld::warm_snapshot(config, attack_at))
-    }
-
-    /// Construction oracle over a caller-prepared snapshot. The prefix
-    /// must not have seen [`FUZZ_SENDER`].
-    pub fn construction_from(snapshot: WorldSnapshot<ConstructionWorld>) -> Self {
+        let snapshot = ConstructionWorld::warm_snapshot(config, attack_at);
         SimOracle { scenario: Scenario::Construction(snapshot) }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! saseval-server serve --addr 127.0.0.1:7461 [--cache-dir DIR] [--cache-cap-bytes N]
-//!                [--workers N] [--no-prewarm]
+//!                [--workers N]
 //! saseval-server submit --addr 127.0.0.1:7461 --job '<json>' [--id ID] [--pipeline N]
 //!                [--expect-cache hit|miss]
 //! saseval-server stats --addr 127.0.0.1:7461
@@ -28,7 +28,7 @@ use std::process::ExitCode;
 use saseval_server::{Client, Server, ServerConfig};
 
 fn usage() -> &'static str {
-    "usage:\n  saseval-server serve --addr HOST:PORT [--cache-dir DIR] [--cache-cap-bytes N] [--workers N] [--no-prewarm]\n  saseval-server submit --addr HOST:PORT --job JSON [--id ID] [--pipeline N] [--expect-cache hit|miss]\n  saseval-server stats --addr HOST:PORT\n  saseval-server shutdown --addr HOST:PORT"
+    "usage:\n  saseval-server serve --addr HOST:PORT [--cache-dir DIR] [--cache-cap-bytes N] [--workers N]\n  saseval-server submit --addr HOST:PORT --job JSON [--id ID] [--pipeline N] [--expect-cache hit|miss]\n  saseval-server stats --addr HOST:PORT\n  saseval-server shutdown --addr HOST:PORT"
 }
 
 fn resolve(addr: &str) -> Result<SocketAddr, String> {
@@ -62,7 +62,6 @@ fn serve(args: &[String]) -> Result<(), String> {
                     .parse()
                     .map_err(|e| format!("invalid --workers: {e}"))?;
             }
-            "--no-prewarm" => config.prewarm = false,
             other => return Err(format!("unknown flag {other}\n{}", usage())),
         }
     }

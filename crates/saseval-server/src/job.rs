@@ -166,15 +166,6 @@ impl ScenarioSpec {
         }
     }
 
-    /// Identifies the warm world prefix this scenario forks from —
-    /// the snapshot-store key. Normalizes first, so semantically equal
-    /// scenarios share one resident snapshot.
-    pub fn prefix_key(self) -> u64 {
-        let canonical =
-            serde_json::to_string(&self.normalized()).expect("scenario specs always serialize");
-        fnv1a64(canonical.as_bytes())
-    }
-
     /// The world horizon, post-normalization.
     pub fn horizon(self) -> Ftti {
         let ms = match self.normalized() {
@@ -625,17 +616,5 @@ mod tests {
         assert_ne!(base.cache_key(), deeper.cache_key());
         let other_seed = JobSpec::Scenario(ScenarioJob { seed: 4, ..job });
         assert_ne!(base.cache_key(), other_seed.cache_key());
-    }
-
-    #[test]
-    fn scenario_prefix_key_ignores_fuzz_parameters() {
-        let a = keyless_job();
-        let JobSpec::Fuzz(job_a) = a else { unreachable!() };
-        let mut job_b = job_a;
-        job_b.seed = 1234;
-        job_b.iterations = 7;
-        assert_eq!(job_a.scenario.prefix_key(), job_b.scenario.prefix_key());
-        let construction = ScenarioSpec::Construction(ConstructionScenario::default());
-        assert_ne!(job_a.scenario.prefix_key(), construction.prefix_key());
     }
 }

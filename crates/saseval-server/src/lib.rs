@@ -26,13 +26,13 @@
 //!   waiter; [`flight::CancelToken`] carries cooperative cancellation
 //!   and [`flight::KeyMemo`] memoizes canonicalization per unique spec
 //!   text.
-//! * [`worker`] — a warm pool ([`worker::WorkerPool`]) that keeps
-//!   forked [`vehicle_sim::WorldSnapshot`] prefixes of the demonstrator
-//!   worlds resident ([`worker::SnapshotStore`]), so jobs resume from a
-//!   frozen pre-attack state instead of rebuilding and re-stepping the
-//!   world; progress streams out of `saseval-obs` recorders as
-//!   [`worker::PoolEvent`]s tagged with cache key and single-flight
-//!   epoch.
+//! * [`worker`] — a worker pool ([`worker::WorkerPool`]) running
+//!   [`worker::execute`]; a fuzz job freezes its scenario's world at
+//!   attack activation once ([`vehicle_sim::WorldSnapshot`]) and every
+//!   shard forks from that frozen pre-attack state instead of
+//!   re-stepping the world; progress streams out of `saseval-obs`
+//!   recorders as [`worker::PoolEvent`]s tagged with cache key and
+//!   single-flight epoch.
 //! * [`protocol`] + [`server`] — a std-only TCP line protocol (one
 //!   JSON value per line) served by a single multiplexed event-loop
 //!   thread over non-blocking sockets (pipelined requests, bounded
@@ -61,4 +61,4 @@ pub use job::{
     LintOutcome, ScenarioSpec, SuiteName,
 };
 pub use server::{Client, JobOutcome, Server, ServerConfig};
-pub use worker::{FreshStats, PoolEvent, QueuedJob, SnapshotStore, WorkerPool};
+pub use worker::{FreshStats, PoolEvent, QueuedJob, WorkerPool};

@@ -37,7 +37,7 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
-use saseval_obs::{MemoryRecorder, Obs, Recorder};
+use saseval_obs::{MemoryRecorder, Recorder};
 use serde_json::JsonValue;
 
 use crate::cache::ResultCache;
@@ -47,7 +47,7 @@ use crate::protocol::{
     accepted_frame, cancelled_frame, done_head, error_frame, frame, map_field, progress_frame,
     str_field,
 };
-use crate::worker::{PoolEvent, QueuedJob, SnapshotStore, WorkerPool};
+use crate::worker::{PoolEvent, QueuedJob, WorkerPool};
 
 /// Write-queue byte cap per connection: past it the connection is no
 /// longer read until the queue drains below half.
@@ -190,35 +190,6 @@ impl Conn {
     }
 }
 
-/// Dual-emitting metrics sink: an internal [`MemoryRecorder`] that the
-/// `stats` control frame reads live, teed with the embedder's
-/// [`Obs`] handle.
-#[derive(Debug)]
-pub(crate) struct Metrics {
-    internal: Arc<MemoryRecorder>,
-    user: Obs,
-}
-
-impl Metrics {
-    pub(crate) fn new(user: Obs) -> Self {
-        Metrics { internal: Arc::new(MemoryRecorder::default()), user }
-    }
-
-    fn counter(&self, name: &'static str, delta: u64) {
-        self.internal.counter(name, delta);
-        self.user.counter(name, delta);
-    }
-
-    fn gauge(&self, name: &'static str, value: f64) {
-        self.internal.gauge(name, value);
-        self.user.gauge(name, value);
-    }
-
-    fn value(&self, name: &str) -> u64 {
-        self.internal.counter_value(name).unwrap_or(0)
-    }
-}
-
 /// The readiness wheel: yields while traffic is recent, then escalates
 /// to short sleeps on the pool-event channel (50 µs doubling to 800 µs)
 /// so an idle loop costs ~0 CPU yet a worker completion still wakes it
@@ -253,8 +224,8 @@ impl IdleWheel {
 pub(crate) struct Mux {
     listener: TcpListener,
     cache: Arc<ResultCache>,
-    snapshots: Arc<SnapshotStore>,
-    metrics: Metrics,
+    /// The `server.*` counters, read live by the `stats` control frame.
+    metrics: MemoryRecorder,
     /// External shutdown request ([`crate::server::Server::shutdown`]).
     shutdown: Arc<AtomicBool>,
     job_tx: Option<Sender<QueuedJob>>,
@@ -268,12 +239,9 @@ pub(crate) struct Mux {
 }
 
 impl Mux {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         listener: TcpListener,
         cache: Arc<ResultCache>,
-        snapshots: Arc<SnapshotStore>,
-        metrics: Metrics,
         shutdown: Arc<AtomicBool>,
         job_tx: Sender<QueuedJob>,
         pool_tx: Sender<PoolEvent>,
@@ -282,8 +250,7 @@ impl Mux {
         Mux {
             listener,
             cache,
-            snapshots,
-            metrics,
+            metrics: MemoryRecorder::default(),
             shutdown,
             job_tx: Some(job_tx),
             pool_tx,
@@ -504,7 +471,6 @@ impl Mux {
             conn.inflight_ids.remove(id);
         }
         self.metrics.counter("server.cancelled", 1);
-        self.metrics.gauge("server.inflight", self.inflight.len() as f64);
         self.queue_frame(conn_id, cancelled_frame(id));
     }
 
@@ -582,7 +548,6 @@ impl Mux {
         if let Some(conn) = self.conns.get_mut(&conn_id) {
             conn.inflight_ids.insert(id, key);
         }
-        self.metrics.gauge("server.inflight", self.inflight.len() as f64);
     }
 
     fn drain_pool_events(&mut self) -> usize {
@@ -626,13 +591,11 @@ impl Mux {
                         frame.share(),
                     );
                 }
-                self.metrics.gauge("server.inflight", self.inflight.len() as f64);
             }
             PoolEvent::Aborted { key, epoch } => {
                 // The entry is normally already gone (removed when its
                 // last waiter detached); completing is a no-op guard.
                 let _ = self.inflight.complete(key, epoch);
-                self.metrics.gauge("server.inflight", self.inflight.len() as f64);
             }
         }
     }
@@ -707,22 +670,20 @@ impl Mux {
         if orphaned > 0 {
             self.metrics.counter("server.cancelled", orphaned as u64);
         }
-        self.metrics.gauge("server.inflight", self.inflight.len() as f64);
     }
 
     fn stats_frame(&self) -> String {
         let cache = &self.cache.stats;
-        let m = &self.metrics;
+        let m = |name| JsonValue::U64(self.metrics.counter_value(name).unwrap_or(0));
         frame(vec![
             ("event", JsonValue::Str("stats".into())),
-            ("jobs", JsonValue::U64(m.value("server.jobs"))),
-            ("executed", JsonValue::U64(m.value("server.executed"))),
-            ("coalesced", JsonValue::U64(m.value("server.coalesced"))),
-            ("memo_hits", JsonValue::U64(m.value("server.memo_hits"))),
-            ("cancelled", JsonValue::U64(m.value("server.cancelled"))),
-            ("backpressure_stalls", JsonValue::U64(m.value("server.backpressure_stalls"))),
+            ("jobs", m("server.jobs")),
+            ("executed", m("server.executed")),
+            ("coalesced", m("server.coalesced")),
+            ("memo_hits", m("server.memo_hits")),
+            ("cancelled", m("server.cancelled")),
+            ("backpressure_stalls", m("server.backpressure_stalls")),
             ("inflight", JsonValue::U64(self.inflight.len() as u64)),
-            ("resident_prefixes", JsonValue::U64(self.snapshots.len() as u64)),
             ("cache_memory_hits", JsonValue::U64(cache.memory_hits.load(Ordering::Relaxed))),
             ("cache_disk_hits", JsonValue::U64(cache.disk_hits.load(Ordering::Relaxed))),
             ("cache_misses", JsonValue::U64(cache.misses.load(Ordering::Relaxed))),

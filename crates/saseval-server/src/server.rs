@@ -1,5 +1,5 @@
-//! The campaign server: a std-only TCP line protocol over the warm
-//! worker pool and result cache, plus a minimal blocking [`Client`].
+//! The campaign server: a std-only TCP line protocol over the worker
+//! pool and result cache, plus a minimal blocking [`Client`].
 //!
 //! One JSON value per `\n`-terminated line, both directions. Requests:
 //!
@@ -63,17 +63,15 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 
-use saseval_obs::Obs;
 use serde_json::JsonValue;
 
 use crate::cache::ResultCache;
-use crate::mux::{Metrics, Mux};
+use crate::mux::Mux;
 use crate::protocol::{map_field, str_field};
-use crate::worker::{SnapshotStore, WorkerPool};
+use crate::worker::WorkerPool;
 
 /// Server configuration. `Default` binds an ephemeral localhost port
-/// with two workers, a 128-entry memory tier, no disk tier and
-/// prewarmed demonstrator scenarios.
+/// with two workers, a 128-entry memory tier and no disk tier.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address, e.g. `127.0.0.1:0` for an ephemeral port.
@@ -88,15 +86,6 @@ pub struct ServerConfig {
     /// Byte cap on the disk tier's payload bytes; entries are evicted
     /// oldest-first past it. `None` leaves the tier unbounded.
     pub cache_cap_bytes: Option<u64>,
-    /// Whether to freeze the two default demonstrator prefixes at
-    /// startup so the first job on either is already warm.
-    pub prewarm: bool,
-    /// Observability handle the server's `server.*` metrics are also
-    /// emitted to (`server.jobs`, `server.coalesced`, `server.executed`,
-    /// `server.cancelled`, `server.memo_hits`,
-    /// `server.backpressure_stalls`, gauge `server.inflight`). The
-    /// in-band `stats` frame reads the same counters regardless.
-    pub obs: Obs,
 }
 
 impl Default for ServerConfig {
@@ -107,8 +96,6 @@ impl Default for ServerConfig {
             mem_capacity: 128,
             cache_dir: None,
             cache_cap_bytes: None,
-            prewarm: true,
-            obs: Obs::noop(),
         }
     }
 }
@@ -123,8 +110,7 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds, prewarms, spawns the worker pool and starts the event
-    /// loop.
+    /// Binds, spawns the worker pool and starts the event loop.
     ///
     /// # Errors
     ///
@@ -137,25 +123,11 @@ impl Server {
             ResultCache::new(config.mem_capacity, config.cache_dir)
                 .with_disk_cap(config.cache_cap_bytes),
         );
-        let snapshots = Arc::new(SnapshotStore::new());
-        if config.prewarm {
-            snapshots.prewarm_defaults();
-        }
         let (job_tx, job_rx) = mpsc::channel();
-        let pool = WorkerPool::spawn(config.workers, job_rx, &cache, &snapshots);
+        let pool = WorkerPool::spawn(config.workers, job_rx, &cache);
         let (pool_tx, pool_rx) = mpsc::channel();
         let shutdown = Arc::new(AtomicBool::new(false));
-        let metrics = Metrics::new(config.obs);
-        let mux = Mux::new(
-            listener,
-            cache,
-            snapshots,
-            metrics,
-            shutdown.clone(),
-            job_tx,
-            pool_tx,
-            pool_rx,
-        );
+        let mux = Mux::new(listener, cache, shutdown.clone(), job_tx, pool_tx, pool_rx);
         let handle = std::thread::spawn(move || mux.run(pool));
         Ok(Server { addr, shutdown, mux: Some(handle) })
     }
@@ -412,8 +384,7 @@ mod tests {
     }
 
     fn start_test_server() -> Server {
-        // Prewarm off: tests exercise the lazy prefix path and stay fast.
-        Server::start(ServerConfig { prewarm: false, ..Default::default() }).expect("bind")
+        Server::start(ServerConfig::default()).expect("bind")
     }
 
     #[test]

@@ -1,15 +1,16 @@
-//! The warm worker pool: resident world snapshots, deterministic job
-//! execution and progress forwarding.
+//! The worker pool: deterministic job execution and progress
+//! forwarding.
 //!
 //! Workers reuse the fuzzing stack's two core optimizations end-to-end:
 //! [`Fuzzer::run_parallel_targets`]'s deterministic shard merge drives
-//! every fuzz job, and each job's oracle forks from a
-//! [`WorldSnapshot`] warm prefix held resident in the shared
-//! [`SnapshotStore`] — so a job on a known scenario never pays world
-//! construction, only the forks. Campaign jobs run the attack engine's
-//! serial campaign runner.
+//! every fuzz job, and each shard's oracle forks from one
+//! [`vehicle_sim::WorldSnapshot`] warm prefix that the job builds
+//! itself. An attacker-free prefix is reached by next-event jumps, so
+//! building it costs about as much as looking a resident copy up would
+//! (EXPERIMENTS "Warm-prefix store decision"); no prefix outlives its
+//! job. Campaign jobs run the attack engine's serial campaign runner.
 //!
-//! [`run_job`] is a pure function of the (normalized) spec: same spec,
+//! [`execute`] is a pure function of the (normalized) spec: same spec,
 //! same code version → byte-identical [`JobPayload`]. That purity is
 //! what makes the result cache sound, and is pinned by the
 //! cached-equals-fresh proptest.
@@ -27,7 +28,6 @@
 //! harmless because payloads are deterministic — the cached bytes are
 //! exactly what a fresh execution would produce.
 
-use std::collections::HashMap;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -36,14 +36,11 @@ use std::time::{Duration, Instant};
 use attack_engine::campaign::run_campaign_with_obs;
 use saseval_fuzz::fuzzer::Fuzzer;
 use saseval_fuzz::model::{keyless_command_model, v2x_warning_model};
+use saseval_fuzz::scenario::attack_paths;
 use saseval_fuzz::sim_target::SimOracle;
 use saseval_obs::{FieldValue, Obs, Recorder};
-use saseval_tara::tree::{AttackTree, TreeNode};
-use saseval_tara::AttackPath;
+use saseval_types::WorldKind;
 use serde::Serialize;
-use vehicle_sim::construction::ConstructionWorld;
-use vehicle_sim::keyless::KeylessWorld;
-use vehicle_sim::WorldSnapshot;
 
 use saseval_lint::graph::campaign_verdicts;
 use saseval_lint::{run_lint, LintConfig, LintContext, TraceGraph, TraceInputs};
@@ -55,113 +52,58 @@ use crate::job::{
     CampaignJob, FuzzJob, JobPayload, JobSpec, LintJob, LintOutcome, ScenarioJob, ScenarioSpec,
 };
 
-/// A warm world prefix resident in the [`SnapshotStore`].
-#[derive(Debug, Clone)]
-enum ResidentPrefix {
-    Keyless(WorldSnapshot<KeylessWorld>),
-    Construction(WorldSnapshot<ConstructionWorld>),
-}
-
-/// Shared store of warm world prefixes, keyed by
-/// [`ScenarioSpec::prefix_key`]. Snapshots are `Arc`-frozen, so handing
-/// one to a job is a pointer clone; only the first job on a new
-/// scenario pays the prefix simulation.
+/// Stateless stand-in for the removed resident prefix store, kept so
+/// `perfbench/` builds unchanged; remove with the next perfbench PR.
 #[derive(Debug, Default)]
-pub struct SnapshotStore {
-    prefixes: Mutex<HashMap<u64, ResidentPrefix>>,
-}
+pub struct SnapshotStore;
 
 impl SnapshotStore {
-    /// An empty store.
+    /// A store. Holds nothing.
     pub fn new() -> Self {
-        Self::default()
+        SnapshotStore
     }
 
-    /// Number of resident prefixes.
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
+    /// Does nothing: prefixes are built per job.
+    pub fn prewarm_defaults(&self) {}
 
-    /// Whether no prefix is resident yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<u64, ResidentPrefix>> {
-        lock(&self.prefixes)
-    }
-
-    /// Simulates and freezes the warm prefixes of the two default
-    /// demonstrator scenarios, so the very first job on either is
-    /// already warm.
-    pub fn prewarm_defaults(&self) {
-        self.oracle(ScenarioSpec::Keyless(Default::default()));
-        self.oracle(ScenarioSpec::Construction(Default::default()));
-    }
-
-    /// A fuzz oracle for `scenario`, forked from the resident warm
-    /// prefix — simulating and freezing it first if this is the first
-    /// job on the scenario.
+    /// A fresh fuzz oracle for `scenario`.
     pub fn oracle(&self, scenario: ScenarioSpec) -> SimOracle {
-        let key = scenario.prefix_key();
-        if let Some(resident) = self.lock().get(&key) {
-            return oracle_from(resident.clone());
-        }
-        // Build outside the lock: prefix simulation can take a while and
-        // other scenarios' jobs shouldn't stall behind it. A racing
-        // duplicate build is deterministic, so last-write-wins is fine.
-        let resident = match scenario.normalized() {
-            ScenarioSpec::Keyless(_) => {
-                let config = scenario.keyless_config().expect("keyless scenario");
-                ResidentPrefix::Keyless(KeylessWorld::warm_snapshot(config, scenario.attack_at()))
-            }
-            ScenarioSpec::Construction(_) => {
-                let config = scenario.construction_config().expect("construction scenario");
-                ResidentPrefix::Construction(ConstructionWorld::warm_snapshot(
-                    config,
-                    scenario.attack_at(),
-                ))
-            }
-        };
-        let oracle = oracle_from(resident.clone());
-        self.lock().insert(key, resident);
-        oracle
+        oracle(scenario)
     }
 }
 
-fn oracle_from(resident: ResidentPrefix) -> SimOracle {
-    match resident {
-        ResidentPrefix::Keyless(snapshot) => SimOracle::keyless_from(snapshot),
-        ResidentPrefix::Construction(snapshot) => SimOracle::construction_from(snapshot),
-    }
+/// [`execute`] behind the [`SnapshotStore`] stand-in, kept so
+/// `perfbench/` builds unchanged; remove with the next perfbench PR.
+pub fn run_job(spec: JobSpec, _snapshots: &SnapshotStore, obs: &Obs) -> JobPayload {
+    execute(spec, obs)
 }
 
-/// The fixed attack paths a fuzz job's sessions cycle through — one
-/// built-in single-leaf tree per demonstrator, matching the interfaces
-/// the TARA names for each use case.
-fn attack_paths(scenario: ScenarioSpec) -> Vec<AttackPath> {
-    let tree = match scenario {
-        ScenarioSpec::Keyless(_) => AttackTree::new(
-            "Open the vehicle",
-            TreeNode::leaf_on("send forged open command", "BLE_PHONE"),
+/// A fuzz oracle for `scenario`, forked per shard from a warm prefix
+/// simulated to the scenario's attack activation.
+fn oracle(scenario: ScenarioSpec) -> SimOracle {
+    match scenario {
+        ScenarioSpec::Keyless(_) => SimOracle::keyless(
+            scenario.keyless_config().expect("keyless scenario"),
+            scenario.attack_at(),
         ),
-        ScenarioSpec::Construction(_) => {
-            AttackTree::new("Disrupt warnings", TreeNode::leaf_on("spoof signage", "OBU_RSU"))
-        }
-    };
-    tree.expect("built-in trees are well-formed").paths().expect("built-in trees have paths")
+        ScenarioSpec::Construction(_) => SimOracle::construction(
+            scenario.construction_config().expect("construction scenario"),
+            scenario.attack_at(),
+        ),
+    }
 }
 
-fn run_fuzz_job(job: FuzzJob, snapshots: &SnapshotStore, obs: &Obs) -> JobPayload {
-    let oracle = snapshots.oracle(job.scenario);
-    let paths = attack_paths(job.scenario);
-    let model = match job.scenario {
-        ScenarioSpec::Keyless(_) => keyless_command_model(),
-        ScenarioSpec::Construction(_) => v2x_warning_model(),
+fn run_fuzz_job(job: FuzzJob, obs: &Obs) -> JobPayload {
+    let (world, model) = match job.scenario {
+        ScenarioSpec::Keyless(_) => (WorldKind::Keyless, keyless_command_model()),
+        ScenarioSpec::Construction(_) => (WorldKind::Construction, v2x_warning_model()),
     };
+    let oracle = oracle(job.scenario);
     let fuzzer = Fuzzer::new(model, job.seed).with_obs(obs.clone());
     let report =
-        fuzzer.run_parallel_targets(&paths, job.iterations, job.shards, |_| oracle.clone());
+        fuzzer.run_parallel_targets(&attack_paths(world), job.iterations, job.shards, |_| {
+            oracle.clone()
+        });
     JobPayload::Fuzz(report)
 }
 
@@ -201,23 +143,22 @@ fn run_lint_job(job: LintJob, obs: &Obs) -> JobPayload {
     })
 }
 
-/// Executes `spec` to its deterministic payload. Fuzz jobs fork from
-/// the store's resident warm prefix; campaign jobs run the attack
-/// engine's serial campaign runner; lint jobs run the trace-graph
-/// static analysis. Metrics land on `obs`.
-pub fn run_job(spec: JobSpec, snapshots: &SnapshotStore, obs: &Obs) -> JobPayload {
+/// Executes `spec` to its deterministic payload. Fuzz jobs fork their
+/// shards from one warm prefix; campaign jobs run the attack engine's
+/// serial campaign runner; lint jobs run the trace-graph static
+/// analysis. Metrics land on `obs`.
+pub fn execute(spec: JobSpec, obs: &Obs) -> JobPayload {
     match spec.normalized() {
-        JobSpec::Fuzz(job) => run_fuzz_job(job, snapshots, obs),
+        JobSpec::Fuzz(job) => run_fuzz_job(job, obs),
         JobSpec::Campaign(job) => run_campaign_job(job, obs),
         JobSpec::Lint(job) => run_lint_job(job, obs),
         JobSpec::Scenario(job) => run_scenario_job(job, obs),
     }
 }
 
-/// Runs a coverage-guided scenario search. The search manages its own
-/// per-spec world prefixes (every evaluated spec compiles to a distinct
-/// config, so the shared [`SnapshotStore`] of fuzz jobs does not apply)
-/// and inherits the job's observability sink for progress frames.
+/// Runs a coverage-guided scenario search. The search builds one world
+/// prefix per evaluated spec and inherits the job's observability sink
+/// for progress frames.
 fn run_scenario_job(job: ScenarioJob, obs: &Obs) -> JobPayload {
     let search = saseval_fuzz::scenario::ScenarioSearch::new(job.space, job.seed)
         .with_eval_iterations(job.eval_iterations)
@@ -388,7 +329,7 @@ pub struct QueuedJob {
     pub events: Sender<PoolEvent>,
 }
 
-/// A fixed pool of warm worker threads draining a shared job queue.
+/// A fixed pool of worker threads draining a shared job queue.
 ///
 /// Dropping the pool is a drain-and-join: the queue sender closes, each
 /// worker finishes its in-flight job and exits.
@@ -398,17 +339,12 @@ pub struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// Spawns worker threads sharing `queue`, `cache` and `snapshots`.
+    /// Spawns worker threads sharing `queue` and `cache`.
     /// The requested count is clamped to `available_parallelism` (and
     /// to at least one): extra workers on an oversubscribed host only
     /// add context-switch overhead, and job *results* never depend on
     /// the worker count — only on the specs.
-    pub fn spawn(
-        workers: usize,
-        queue: Receiver<QueuedJob>,
-        cache: &Arc<ResultCache>,
-        snapshots: &Arc<SnapshotStore>,
-    ) -> Self {
+    pub fn spawn(workers: usize, queue: Receiver<QueuedJob>, cache: &Arc<ResultCache>) -> Self {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let workers = workers.clamp(1, cores.max(1));
         let queue = Arc::new(Mutex::new(queue));
@@ -416,8 +352,7 @@ impl WorkerPool {
             .map(|_| {
                 let queue = queue.clone();
                 let cache = cache.clone();
-                let snapshots = snapshots.clone();
-                std::thread::spawn(move || worker_loop(&queue, &cache, &snapshots))
+                std::thread::spawn(move || worker_loop(&queue, &cache))
             })
             .collect();
         WorkerPool { handles }
@@ -431,7 +366,7 @@ impl WorkerPool {
     }
 }
 
-fn worker_loop(queue: &Mutex<Receiver<QueuedJob>>, cache: &ResultCache, snapshots: &SnapshotStore) {
+fn worker_loop(queue: &Mutex<Receiver<QueuedJob>>, cache: &ResultCache) {
     loop {
         let job = match lock(queue).recv() {
             Ok(job) => job,
@@ -459,7 +394,7 @@ fn worker_loop(queue: &Mutex<Receiver<QueuedJob>>, cache: &ResultCache, snapshot
         let recorder = Arc::new(JobRecorder::new(&job));
         let obs = Obs::recording(recorder.clone());
         let started = Instant::now();
-        let payload = run_job(job.spec, snapshots, &obs).to_bytes();
+        let payload = execute(job.spec, &obs).to_bytes();
         let elapsed_seconds = started.elapsed().as_secs_f64();
         // Every waiter detached mid-run: discard the result without
         // touching the cache. Best-effort — a cancel landing between
@@ -500,32 +435,19 @@ mod tests {
     }
 
     #[test]
-    fn run_job_is_deterministic() {
-        let snapshots = SnapshotStore::new();
-        let first = run_job(small_fuzz_spec(), &snapshots, &Obs::noop()).to_bytes();
-        let second = run_job(small_fuzz_spec(), &snapshots, &Obs::noop()).to_bytes();
+    fn execute_is_deterministic() {
+        let first = execute(small_fuzz_spec(), &Obs::noop()).to_bytes();
+        let second = execute(small_fuzz_spec(), &Obs::noop()).to_bytes();
         assert_eq!(first, second);
-    }
-
-    #[test]
-    fn fuzz_jobs_reuse_the_resident_prefix() {
-        let snapshots = SnapshotStore::new();
-        run_job(small_fuzz_spec(), &snapshots, &Obs::noop());
-        assert_eq!(snapshots.len(), 1);
-        // Same scenario, different fuzz parameters: no new prefix.
-        let JobSpec::Fuzz(mut job) = small_fuzz_spec() else { unreachable!() };
-        job.seed = 99;
-        run_job(JobSpec::Fuzz(job), &snapshots, &Obs::noop());
-        assert_eq!(snapshots.len(), 1);
     }
 
     #[test]
     fn campaign_job_runs_suite_with_seed_override() {
         let spec = JobSpec::Campaign(CampaignJob { suite: SuiteName::Jamming, seed: 5 });
-        let payload = run_job(spec, &SnapshotStore::new(), &Obs::noop());
+        let payload = execute(spec, &Obs::noop());
         let JobPayload::Campaign(ref report) = payload else { panic!("campaign payload") };
         assert_eq!(report.total(), SuiteName::Jamming.cases().len());
-        let again = run_job(spec, &SnapshotStore::new(), &Obs::noop());
+        let again = execute(spec, &Obs::noop());
         assert_eq!(payload.to_bytes(), again.to_bytes());
     }
 
@@ -537,12 +459,11 @@ mod tests {
             suite: Some(SuiteName::Ad08),
             artifacts: 0,
         });
-        let snapshots = SnapshotStore::new();
-        let payload = run_job(spec, &snapshots, &Obs::noop());
+        let payload = execute(spec, &Obs::noop());
         let JobPayload::Lint(ref outcome) = payload else { panic!("lint payload") };
         assert_eq!(outcome.errors, 0, "built-in catalogs analyze clean: {:?}", outcome.diagnostics);
         assert_eq!(outcome.fingerprint.len(), 16);
-        let again = run_job(spec, &snapshots, &Obs::noop());
+        let again = execute(spec, &Obs::noop());
         assert_eq!(payload.to_bytes(), again.to_bytes());
     }
 
@@ -573,9 +494,8 @@ mod tests {
     #[test]
     fn pool_computes_then_serves_from_cache() {
         let cache = Arc::new(ResultCache::new(8, None));
-        let snapshots = Arc::new(SnapshotStore::new());
         let (job_tx, job_rx) = mpsc::channel();
-        let pool = WorkerPool::spawn(2, job_rx, &cache, &snapshots);
+        let pool = WorkerPool::spawn(2, job_rx, &cache);
 
         let rx = queue_job(&job_tx, small_fuzz_spec(), 0, CancelToken::new());
         let (fresh, tier, has_stats) = wait_done(&rx);
@@ -600,13 +520,12 @@ mod tests {
     #[test]
     fn cancelled_queued_jobs_abort_without_touching_the_cache() {
         let cache = Arc::new(ResultCache::new(8, None));
-        let snapshots = Arc::new(SnapshotStore::new());
         let (job_tx, job_rx) = mpsc::channel();
         // No workers yet: cancel strictly before dequeue.
         let token = CancelToken::new();
         let rx = queue_job(&job_tx, small_fuzz_spec(), 3, token.clone());
         token.cancel();
-        let pool = WorkerPool::spawn(1, job_rx, &cache, &snapshots);
+        let pool = WorkerPool::spawn(1, job_rx, &cache);
         match rx.recv().unwrap() {
             PoolEvent::Aborted { epoch, .. } => assert_eq!(epoch, 3),
             other => panic!("expected abort, got {other:?}"),

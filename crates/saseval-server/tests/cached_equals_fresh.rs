@@ -9,10 +9,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use proptest::prelude::*;
 use saseval_obs::Obs;
 use saseval_server::job::{ControlsPreset, KeylessScenario};
-use saseval_server::worker::run_job;
+use saseval_server::worker::execute;
 use saseval_server::{
     CacheTier, CampaignJob, Client, FuzzJob, JobSpec, ResultCache, ScenarioSpec, Server,
-    ServerConfig, SnapshotStore, SuiteName,
+    ServerConfig, SuiteName,
 };
 
 static DIR_COUNTER: AtomicUsize = AtomicUsize::new(0);
@@ -60,8 +60,7 @@ proptest! {
     /// directory) → fresh recomputation: all four are the same bytes.
     #[test]
     fn every_tier_serves_the_fresh_bytes(spec in small_job_strategy()) {
-        let snapshots = SnapshotStore::new();
-        let fresh = run_job(spec, &snapshots, &Obs::noop()).to_bytes();
+        let fresh = execute(spec, &Obs::noop()).to_bytes();
         let key = spec.cache_key();
 
         let dir = temp_dir();
@@ -81,7 +80,7 @@ proptest! {
         prop_assert_eq!(from_disk.payload(), &fresh[..]);
         prop_assert_eq!(from_disk.tail(), from_memory.tail());
 
-        let recomputed = run_job(spec, &snapshots, &Obs::noop()).to_bytes();
+        let recomputed = execute(spec, &Obs::noop()).to_bytes();
         prop_assert_eq!(&recomputed, &fresh);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -97,7 +96,6 @@ proptest! {
         let dir = temp_dir();
         let server = Server::start(ServerConfig {
             cache_dir: Some(dir.clone()),
-            prewarm: false,
             ..Default::default()
         })
         .expect("bind");
@@ -116,7 +114,6 @@ proptest! {
         server.join();
         let reopened = Server::start(ServerConfig {
             cache_dir: Some(dir.clone()),
-            prewarm: false,
             ..Default::default()
         })
         .expect("rebind");

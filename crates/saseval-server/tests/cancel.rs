@@ -4,10 +4,11 @@
 //! the races around completion, written tolerantly where the protocol
 //! itself is racy by design.
 
-use saseval_obs::Obs;
+mod common;
+
+use common::stat;
 use saseval_server::protocol::str_field;
 use saseval_server::{Client, Server, ServerConfig};
-use serde_json::JsonValue;
 
 fn fuzz_job(iterations: usize, seed: u64) -> String {
     format!(
@@ -50,23 +51,13 @@ fn read_terminal(client: &mut Client, id: &str) -> (String, Option<String>) {
     }
 }
 
-fn counter(stats: &JsonValue, name: &str) -> u64 {
-    match saseval_server::protocol::map_field(stats, name) {
-        Some(JsonValue::U64(v)) => *v,
-        other => panic!("stats field {name} missing or non-integer: {other:?}"),
-    }
-}
-
 /// A job cancelled while it sits in the queue never executes and never
 /// populates the cache: with one worker occupied by a long job, a
 /// queued job that is cancelled and then resubmitted comes back as a
 /// fresh `"miss"` — there is nothing cached to serve it from.
 #[test]
 fn cancelled_queued_job_never_executes_or_caches() {
-    let (obs, recorder) = Obs::memory();
-    let server =
-        Server::start(ServerConfig { workers: 1, prewarm: false, obs, ..Default::default() })
-            .expect("bind");
+    let server = Server::start(ServerConfig { workers: 1, ..Default::default() }).expect("bind");
 
     // Occupy the only worker.
     let mut occupant = Client::connect(&server.addr()).expect("connect");
@@ -95,10 +86,8 @@ fn cancelled_queued_job_never_executes_or_caches() {
     let (event, tier) = read_terminal(&mut occupant, "long");
     assert_eq!(event, "done");
     assert_eq!(tier.as_deref(), Some("miss"));
-    assert_eq!(recorder.counter_value("server.cancelled"), Some(1));
-    assert_eq!(recorder.counter_value("server.executed"), Some(2));
-    let stats = client.stats().expect("stats");
-    assert_eq!(counter(&stats, "cancelled"), 1);
+    assert_eq!(stat(&mut client, "cancelled"), 1);
+    assert_eq!(stat(&mut client, "executed"), 2);
     server.shutdown();
     server.join();
 }
@@ -107,8 +96,7 @@ fn cancelled_queued_job_never_executes_or_caches() {
 /// submitted — is an `error` frame, and the connection stays usable.
 #[test]
 fn cancel_after_done_or_with_unknown_id_is_an_error() {
-    let server =
-        Server::start(ServerConfig { prewarm: false, ..Default::default() }).expect("bind");
+    let server = Server::start(ServerConfig::default()).expect("bind");
     let mut client = Client::connect(&server.addr()).expect("connect");
     let job = fuzz_job(24, 3);
     client.submit("a", &job).expect("fresh run");
@@ -133,8 +121,7 @@ fn cancel_after_done_or_with_unknown_id_is_an_error() {
 /// and populates the cache.
 #[test]
 fn detached_waiter_keeps_the_job_alive_for_others() {
-    let server = Server::start(ServerConfig { workers: 1, prewarm: false, ..Default::default() })
-        .expect("bind");
+    let server = Server::start(ServerConfig { workers: 1, ..Default::default() }).expect("bind");
     let job = fuzz_job(20_000, 4);
 
     let mut first = Client::connect(&server.addr()).expect("connect");
@@ -174,17 +161,14 @@ fn detached_waiter_keeps_the_job_alive_for_others() {
 /// jobs keep working afterwards.
 #[test]
 fn mid_run_cancel_of_the_sole_waiter_leaves_the_server_usable() {
-    let (obs, recorder) = Obs::memory();
-    let server =
-        Server::start(ServerConfig { workers: 1, prewarm: false, obs, ..Default::default() })
-            .expect("bind");
+    let server = Server::start(ServerConfig { workers: 1, ..Default::default() }).expect("bind");
     let mut client = Client::connect(&server.addr()).expect("connect");
     submit_until_running(&mut client, "doomed", &fuzz_job(20_000, 5));
     client.cancel("doomed").expect("cancel");
     let (event, _) = read_terminal(&mut client, "doomed");
     assert!(event == "cancelled" || event == "done", "unexpected terminal {event}");
     if event == "cancelled" {
-        assert_eq!(recorder.counter_value("server.cancelled"), Some(1));
+        assert_eq!(stat(&mut client, "cancelled"), 1);
     } else {
         // The cancel itself then failed; drain its error frame.
         let (event, _) = read_terminal(&mut client, "doomed");

@@ -3,8 +3,10 @@
 //! waiter receives byte-identical bytes; pipelined requests on one
 //! connection come back correctly ordered and correlated.
 
+mod common;
+
+use common::stat;
 use proptest::prelude::*;
-use saseval_obs::Obs;
 use saseval_server::protocol::str_field;
 use saseval_server::{Client, JobOutcome, Server, ServerConfig};
 
@@ -18,16 +20,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// N concurrent identical submissions: exactly one execution
-    /// (asserted through the server's obs counters *and* the stats
-    /// frame), N byte-identical responses. Whether a given submission
-    /// coalesced onto the in-flight job or hit the cache it filled is a
-    /// race — but the execution count never exceeds one.
+    /// (asserted through the server's stats frame), N byte-identical
+    /// responses. Whether a given submission coalesced onto the
+    /// in-flight job or hit the cache it filled is a race — but the
+    /// execution count never exceeds one.
     #[test]
     fn n_concurrent_identical_submissions_execute_once(seed in 0u64..10_000) {
         const CLIENTS: usize = 8;
-        let (obs, recorder) = Obs::memory();
-        let server = Server::start(ServerConfig { prewarm: false, obs, ..Default::default() })
-            .expect("bind");
+        let server = Server::start(ServerConfig::default()).expect("bind");
         let addr = server.addr();
         let job = fuzz_job(4_000, seed);
 
@@ -49,17 +49,9 @@ proptest! {
             prop_assert_eq!(&outcome.payload_json, &outcomes[0].payload_json);
             prop_assert_eq!(&outcome.key, &outcomes[0].key);
         }
-        // Exactly one execution, via the obs handle the config carried…
-        prop_assert_eq!(recorder.counter_value("server.executed"), Some(1));
-        prop_assert_eq!(recorder.counter_value("server.jobs"), Some(CLIENTS as u64));
-        // …and via the in-band stats frame.
         let mut client = Client::connect(&addr).expect("stats connect");
-        let stats = client.stats().expect("stats frame");
-        let executed = saseval_server::protocol::map_field(&stats, "executed");
-        prop_assert_eq!(
-            match executed { Some(serde_json::JsonValue::U64(v)) => Some(*v), _ => None },
-            Some(1)
-        );
+        prop_assert_eq!(stat(&mut client, "executed"), 1);
+        prop_assert_eq!(stat(&mut client, "jobs"), CLIENTS as u64);
         server.shutdown();
         server.join();
     }
@@ -72,8 +64,7 @@ proptest! {
 #[test]
 fn pipelined_cached_requests_reply_in_submission_order() {
     const K: usize = 16;
-    let server =
-        Server::start(ServerConfig { prewarm: false, ..Default::default() }).expect("bind");
+    let server = Server::start(ServerConfig::default()).expect("bind");
     let job = fuzz_job(24, 7);
     let mut warm = Client::connect(&server.addr()).expect("connect");
     warm.submit("warm", &job).expect("warm run");
@@ -108,9 +99,7 @@ fn pipelined_cached_requests_reply_in_submission_order() {
 #[test]
 fn submit_many_coalesces_identical_fresh_jobs() {
     const K: usize = 12;
-    let (obs, recorder) = Obs::memory();
-    let server =
-        Server::start(ServerConfig { prewarm: false, obs, ..Default::default() }).expect("bind");
+    let server = Server::start(ServerConfig::default()).expect("bind");
     let job = fuzz_job(4_000, 99);
     let ids: Vec<String> = (0..K).map(|i| format!("m{i}")).collect();
     let pairs: Vec<(&str, &str)> = ids.iter().map(|id| (id.as_str(), job.as_str())).collect();
@@ -120,10 +109,10 @@ fn submit_many_coalesces_identical_fresh_jobs() {
     for outcome in &outcomes {
         assert_eq!(outcome.payload_json, outcomes[0].payload_json);
     }
-    assert_eq!(recorder.counter_value("server.executed"), Some(1), "one execution for the batch");
+    assert_eq!(stat(&mut client, "executed"), 1, "one execution for the batch");
     // All K requests land on one connection before the job can finish,
     // so K−1 of them coalesced onto the in-flight execution.
-    assert_eq!(recorder.counter_value("server.coalesced"), Some(K as u64 - 1));
+    assert_eq!(stat(&mut client, "coalesced"), K as u64 - 1);
     server.shutdown();
     server.join();
 }

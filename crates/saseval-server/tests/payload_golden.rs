@@ -1,4 +1,4 @@
-//! Payload golden: pinned fnv1a64 hashes of `run_job(spec).to_bytes()`
+//! Payload golden: pinned fnv1a64 hashes of `execute(spec).to_bytes()`
 //! over a fixed job matrix.
 //!
 //! The cache's "a hit is never stale" contract assumes payload bytes
@@ -25,10 +25,9 @@
 use saseval_fuzz::scenario::ScenarioSpace;
 use saseval_obs::Obs;
 use saseval_server::job::{ConstructionScenario, KeylessScenario, ScenarioJob};
-use saseval_server::worker::run_job;
+use saseval_server::worker::execute;
 use saseval_server::{
-    CampaignJob, CatalogName, ControlsPreset, FuzzJob, JobSpec, LintJob, ScenarioSpec,
-    SnapshotStore, SuiteName,
+    CampaignJob, CatalogName, ControlsPreset, FuzzJob, JobSpec, LintJob, ScenarioSpec, SuiteName,
 };
 use saseval_types::hash::fnv1a64;
 
@@ -134,11 +133,10 @@ fn campaign_and_lint_matrix() -> Vec<JobSpec> {
 /// Runs every job and compares `(spec, payload hash)` rows against the
 /// golden table; on mismatch the panic message is the regenerated table.
 fn check(rows: Vec<(String, JobSpec)>, golden: &[(&str, u64)]) {
-    let snapshots = SnapshotStore::new();
     let actual: Vec<(String, u64)> = rows
         .into_iter()
         .map(|(label, spec)| {
-            let bytes = run_job(spec, &snapshots, &Obs::noop()).to_bytes();
+            let bytes = execute(spec, &Obs::noop()).to_bytes();
             (label, fnv1a64(&bytes))
         })
         .collect();

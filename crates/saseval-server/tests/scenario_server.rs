@@ -4,7 +4,9 @@
 //! coalesced (N identical concurrent submissions execute once) and
 //! cancellable mid-search without corrupting the cache.
 
-use saseval_obs::Obs;
+mod common;
+
+use common::stat;
 use saseval_server::protocol::str_field;
 use saseval_server::{Client, JobOutcome, Server, ServerConfig};
 
@@ -54,8 +56,7 @@ fn read_terminal(client: &mut Client, id: &str) -> (String, Option<String>) {
 /// the default evaluation depth — lands on the same cache entry.
 #[test]
 fn scenario_miss_then_hit_is_byte_identical_and_canonicalized() {
-    let server =
-        Server::start(ServerConfig { prewarm: false, ..Default::default() }).expect("bind");
+    let server = Server::start(ServerConfig::default()).expect("bind");
     let mut client = Client::connect(&server.addr()).expect("connect");
     let job = scenario_job(8, 42);
 
@@ -104,9 +105,7 @@ fn scenario_miss_then_hit_is_byte_identical_and_canonicalized() {
 #[test]
 fn concurrent_identical_scenario_submissions_coalesce() {
     const CLIENTS: usize = 6;
-    let (obs, recorder) = Obs::memory();
-    let server =
-        Server::start(ServerConfig { prewarm: false, obs, ..Default::default() }).expect("bind");
+    let server = Server::start(ServerConfig::default()).expect("bind");
     let addr = server.addr();
     let job = scenario_job(160, 7);
 
@@ -128,8 +127,9 @@ fn concurrent_identical_scenario_submissions_coalesce() {
         assert_eq!(outcome.payload_json, outcomes[0].payload_json);
         assert_eq!(outcome.key, outcomes[0].key);
     }
-    assert_eq!(recorder.counter_value("server.executed"), Some(1), "single-flight execution");
-    assert_eq!(recorder.counter_value("server.jobs"), Some(CLIENTS as u64));
+    let mut client = Client::connect(&addr).expect("stats connect");
+    assert_eq!(stat(&mut client, "executed"), 1, "single-flight execution");
+    assert_eq!(stat(&mut client, "jobs"), CLIENTS as u64);
     server.shutdown();
     server.join();
 }
@@ -139,10 +139,7 @@ fn concurrent_identical_scenario_submissions_coalesce() {
 /// and the server keeps serving jobs afterwards.
 #[test]
 fn mid_search_cancel_leaves_the_cache_consistent() {
-    let (obs, recorder) = Obs::memory();
-    let server =
-        Server::start(ServerConfig { workers: 1, prewarm: false, obs, ..Default::default() })
-            .expect("bind");
+    let server = Server::start(ServerConfig { workers: 1, ..Default::default() }).expect("bind");
     let mut client = Client::connect(&server.addr()).expect("connect");
     let job = scenario_job(600, 11);
     submit_until_running(&mut client, "doomed", &job);
@@ -154,7 +151,7 @@ fn mid_search_cancel_leaves_the_cache_consistent() {
         let (event, _) = read_terminal(&mut client, "doomed");
         assert_eq!(event, "error");
     } else {
-        assert_eq!(recorder.counter_value("server.cancelled"), Some(1));
+        assert_eq!(stat(&mut client, "cancelled"), 1);
         // The aborted search never populates the cache: resubmitting the
         // identical spec is a fresh miss, not a stale hit served from
         // the cancelled instance's discarded result.

@@ -743,9 +743,9 @@ impl ConstructionWorld {
     }
 
     /// Builds an attacker-free world under `config`, runs it to `at` and
-    /// freezes it — the warm prefix a long-running service keeps resident
-    /// so repeat jobs over the same scenario never pay world
-    /// construction.
+    /// freezes it: the warm prefix a fuzz run forks every input from, so
+    /// the run pays world construction and the prefix once. The prefix
+    /// is reached by next-event jumps, so building it is cheap.
     pub fn warm_snapshot(
         config: ConstructionConfig,
         at: SimTime,

@@ -655,9 +655,9 @@ impl KeylessWorld {
     }
 
     /// Builds an attacker-free world under `config`, runs it to `at` and
-    /// freezes it — the warm prefix a long-running service keeps resident
-    /// so repeat jobs over the same scenario never pay world
-    /// construction.
+    /// freezes it: the warm prefix a fuzz run forks every input from, so
+    /// the run pays world construction and the prefix once. The prefix
+    /// is reached by next-event jumps, so building it is cheap.
     pub fn warm_snapshot(config: KeylessConfig, at: SimTime) -> crate::WorldSnapshot<KeylessWorld> {
         let mut world = KeylessWorld::new(config);
         world.advance_unattacked(at);

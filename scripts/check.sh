@@ -48,7 +48,7 @@ SERVER_ADDR=127.0.0.1:7461
 SERVER_CACHE="$(mktemp -d)"
 SERVER_OUT="$(mktemp -d)"
 SERVER_JOB='{"Fuzz":{"scenario":{"Keyless":{"horizon_ms":300,"attack_at_ms":100}},"iterations":256,"seed":7}}'
-"$SERVER_BIN" serve --addr "$SERVER_ADDR" --cache-dir "$SERVER_CACHE" --no-prewarm &
+"$SERVER_BIN" serve --addr "$SERVER_ADDR" --cache-dir "$SERVER_CACHE" &
 SERVER_PID=$!
 trap 'kill "$SERVER_PID" 2>/dev/null || true; rm -rf "$SERVER_CACHE" "$SERVER_OUT"' EXIT
 # Wait for the listener (the bin prints its address once bound).
@@ -86,7 +86,7 @@ wait "$SERVER_PID"
 echo "    clean exit after {\"control\":\"shutdown\"}"
 
 echo "==> campaign server smoke: SIGTERM terminates (cache stays consistent)"
-"$SERVER_BIN" serve --addr "$SERVER_ADDR" --cache-dir "$SERVER_CACHE" --no-prewarm &
+"$SERVER_BIN" serve --addr "$SERVER_ADDR" --cache-dir "$SERVER_CACHE" &
 SERVER_PID=$!
 for _ in $(seq 1 100); do
   if (exec 3<>"/dev/tcp/127.0.0.1/7461") 2>/dev/null; then exec 3>&- 3<&-; break; fi
@@ -96,7 +96,7 @@ kill -TERM "$SERVER_PID"
 wait "$SERVER_PID" && SERVER_STATUS=0 || SERVER_STATUS=$?
 test "$SERVER_STATUS" -ne 0  # killed by signal, not a clean 0
 # The on-disk tier survives the kill: a fresh server serves the cached job.
-"$SERVER_BIN" serve --addr "$SERVER_ADDR" --cache-dir "$SERVER_CACHE" --no-prewarm &
+"$SERVER_BIN" serve --addr "$SERVER_ADDR" --cache-dir "$SERVER_CACHE" &
 SERVER_PID=$!
 for _ in $(seq 1 100); do
   if (exec 3<>"/dev/tcp/127.0.0.1/7461") 2>/dev/null; then exec 3>&- 3<&-; break; fi
