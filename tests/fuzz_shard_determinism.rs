@@ -17,6 +17,7 @@ use saseval::fuzz::model::{keyless_command_model, v2x_warning_model, ProtocolMod
 use saseval::fuzz::mutate::Mutator;
 use saseval::tara::tree::{AttackTree, TreeNode};
 use saseval::tara::AttackPath;
+use saseval::types::hash::fnv1a64;
 
 fn paths() -> Vec<AttackPath> {
     AttackTree::new(
@@ -201,4 +202,63 @@ fn all_small_shard_counts_cover_the_full_iteration_space() {
         );
         assert!(report.field_coverage_percent() >= 75.0, "{shards} shards");
     }
+}
+
+/// FNV-1a of the serialized report for every pinned
+/// `(keyless model, seed, shards)` triple at [`GOLDEN_ITERATIONS`]
+/// inputs against [`crashy_target`]. The one-shard rows were taken from
+/// the serial loop, so they pin that stream byte for byte.
+const FUZZ_GOLDENS: [(bool, u64, usize, u64); 18] = [
+    (true, 1, 1, 0x7e005644391c484b),
+    (true, 1, 2, 0x2add63af560c2a73),
+    (true, 1, 3, 0x4fc1c8dc6985ba84),
+    (true, 7, 1, 0x1925b7026be09870),
+    (true, 7, 2, 0x109101d360ea0aa9),
+    (true, 7, 3, 0x94f0369e4bb88995),
+    (true, 42, 1, 0xd21d6e293251a4a9),
+    (true, 42, 2, 0xfd061f3c3fd41466),
+    (true, 42, 3, 0x855e86e908c92cbc),
+    (false, 1, 1, 0x6d5bb5647e197c7c),
+    (false, 1, 2, 0x6b3a62610bef6f7a),
+    (false, 1, 3, 0xc81230cdcc23973b),
+    (false, 7, 1, 0x492c93b8d6204771),
+    (false, 7, 2, 0x0d06b0968f0e3e72),
+    (false, 7, 3, 0x299a8b718c47726f),
+    (false, 42, 1, 0x62f00132d5e45067),
+    (false, 42, 2, 0x90eeda2225e0681d),
+    (false, 42, 3, 0x8c40b0852aad1a5d),
+];
+
+const GOLDEN_ITERATIONS: usize = 2_000;
+
+fn golden_report_hash(keyless: bool, seed: u64, shards: usize) -> u64 {
+    let attack_paths = paths();
+    let report = if shards == 1 {
+        Fuzzer::new(model_for(keyless), seed).run(&attack_paths, GOLDEN_ITERATIONS, crashy_target)
+    } else {
+        Fuzzer::new(model_for(keyless), seed).run_parallel(
+            &attack_paths,
+            GOLDEN_ITERATIONS,
+            shards,
+            |_| crashy_target,
+        )
+    };
+    fnv1a64(serde_json::to_string(&report).expect("report serializes").as_bytes())
+}
+
+#[test]
+fn reports_match_pinned_hashes() {
+    let actual: Vec<(bool, u64, usize, u64)> = FUZZ_GOLDENS
+        .iter()
+        .map(|&(keyless, seed, shards, _)| {
+            (keyless, seed, shards, golden_report_hash(keyless, seed, shards))
+        })
+        .collect();
+    let table: String = actual
+        .iter()
+        .map(|(keyless, seed, shards, hash)| {
+            format!("    ({keyless}, {seed}, {shards}, {hash:#018x}),\n")
+        })
+        .collect();
+    assert_eq!(actual, FUZZ_GOLDENS, "regenerated table:\n{table}");
 }

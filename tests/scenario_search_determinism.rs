@@ -18,6 +18,7 @@ use saseval::fuzz::scenario::{
     NamedScenario, ScenarioFile, ScenarioSampler, ScenarioSearch, ScenarioSpace, ScenarioSpec,
     DIMENSIONS,
 };
+use saseval::types::hash::fnv1a64;
 
 fn space_for(construction: bool) -> ScenarioSpace {
     if construction {
@@ -155,4 +156,48 @@ fn all_small_shard_counts_are_reproducible_and_canonically_ordered() {
             }
         }
     }
+}
+
+/// FNV-1a of the serialized report for every pinned
+/// `(construction space, seed, shards)` triple at a budget of
+/// [`GOLDEN_BUDGET`]. The one-shard rows were taken from the serial
+/// loop, so they pin that search byte for byte.
+const SEARCH_GOLDENS: [(bool, u64, usize, u64); 8] = [
+    (false, 3, 1, 0x11ee12bfefc273b1),
+    (false, 3, 2, 0x15daaed52f783364),
+    (false, 11, 1, 0xad66a1b4763cde97),
+    (false, 11, 2, 0x02b33f1d68a4cd9a),
+    (true, 3, 1, 0x91c25741be91b27b),
+    (true, 3, 2, 0xa8ccf344f1b4aacd),
+    (true, 11, 1, 0xbc34ecad37d177fe),
+    (true, 11, 2, 0xf4b341894408b054),
+];
+
+const GOLDEN_BUDGET: usize = 6;
+
+fn golden_report_hash(construction: bool, seed: u64, shards: usize) -> u64 {
+    let search = search_for(construction, seed);
+    let report = if shards == 1 {
+        search.run(GOLDEN_BUDGET)
+    } else {
+        search.run_parallel(GOLDEN_BUDGET, shards)
+    };
+    fnv1a64(serde_json::to_string(&report).expect("report serializes").as_bytes())
+}
+
+#[test]
+fn reports_match_pinned_hashes() {
+    let actual: Vec<(bool, u64, usize, u64)> = SEARCH_GOLDENS
+        .iter()
+        .map(|&(construction, seed, shards, _)| {
+            (construction, seed, shards, golden_report_hash(construction, seed, shards))
+        })
+        .collect();
+    let table: String = actual
+        .iter()
+        .map(|(construction, seed, shards, hash)| {
+            format!("    ({construction}, {seed}, {shards}, {hash:#018x}),\n")
+        })
+        .collect();
+    assert_eq!(actual, SEARCH_GOLDENS, "regenerated table:\n{table}");
 }
