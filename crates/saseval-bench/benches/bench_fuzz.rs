@@ -24,6 +24,14 @@ fn paths() -> Vec<saseval_tara::AttackPath> {
     .expect("paths")
 }
 
+fn decode_target(input: &[u8]) -> TargetResponse {
+    if Command::decode(input).is_some() {
+        TargetResponse::Accepted
+    } else {
+        TargetResponse::Rejected
+    }
+}
+
 fn bench_mutation(c: &mut Criterion) {
     let mut group = c.benchmark_group("fuzz_mutation");
     for (name, model) in [("v2x", v2x_warning_model()), ("keyless", keyless_command_model())] {
@@ -45,14 +53,8 @@ fn bench_fuzz_throughput(c: &mut Criterion) {
             &iterations,
             |b, &iterations| {
                 b.iter(|| {
-                    let mut fuzzer = Fuzzer::new(keyless_command_model(), 7);
-                    black_box(fuzzer.run(&attack_paths, iterations, |input| {
-                        if Command::decode(input).is_some() {
-                            TargetResponse::Accepted
-                        } else {
-                            TargetResponse::Rejected
-                        }
-                    }));
+                    let fuzzer = Fuzzer::new(keyless_command_model(), 7);
+                    black_box(fuzzer.run(&attack_paths, iterations, 1, |_| decode_target));
                 });
             },
         );
@@ -60,11 +62,10 @@ fn bench_fuzz_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-/// Sharded parallel fuzzing vs the serial loop: same 20k-input workload
-/// on the keyless model at 1/2/4 shards. The `shards=1` row measures the
-/// serial-equivalent path, so `shards=4 / shards=1` is the parallel
-/// speedup (exported with absolute numbers by
-/// `export_report` → `BENCH_fuzz.json`).
+/// Sharded fuzzing: the same 20k-input workload on the keyless model at
+/// 1/2/4 shards. The `shards=1` row runs on the calling thread, so
+/// `shards=4 / shards=1` is the parallel speedup (exported with absolute
+/// numbers by `export_report` → `BENCH_fuzz.json`).
 fn bench_parallel_fuzz(c: &mut Criterion) {
     let mut group = c.benchmark_group("fuzz_parallel");
     group.sample_size(10);
@@ -73,15 +74,7 @@ fn bench_parallel_fuzz(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("keyless_20k", shards), &shards, |b, &shards| {
             b.iter(|| {
                 let fuzzer = Fuzzer::new(keyless_command_model(), 7);
-                black_box(fuzzer.run_parallel(&attack_paths, 20_000, shards, |_| {
-                    |input: &[u8]| {
-                        if Command::decode(input).is_some() {
-                            TargetResponse::Accepted
-                        } else {
-                            TargetResponse::Rejected
-                        }
-                    }
-                }));
+                black_box(fuzzer.run(&attack_paths, 20_000, shards, |_| decode_target));
             });
         });
     }

@@ -1,5 +1,5 @@
 //! Fuzzing throughput measurement backing the `BENCH_fuzz.json` export
-//! and EXPERIMENTS.md's "Fuzzing throughput" section: serial vs sharded
+//! and EXPERIMENTS.md's "Fuzzing throughput" section: one shard vs several
 //! inputs-per-second on the built-in protocol models.
 
 use std::time::Instant;
@@ -54,8 +54,8 @@ fn bench_paths() -> Vec<AttackPath> {
 }
 
 /// Runs `iterations` fuzz inputs against `model`'s robust decode oracle
-/// (the shared [`builtin_oracle`]) at the given shard count (1 = serial
-/// loop) and reports throughput.
+/// (the shared [`builtin_oracle`]) at the given shard count and reports
+/// throughput.
 pub fn measure_fuzz_throughput(
     model: &ProtocolModel,
     shards: usize,
@@ -65,11 +65,7 @@ pub fn measure_fuzz_throughput(
     let target: fn(&[u8]) -> TargetResponse =
         builtin_oracle(&model.name).expect("built-in oracle for built-in model");
     let start = Instant::now();
-    let report = if shards <= 1 {
-        Fuzzer::new(model.clone(), 7).run(&paths, iterations, target)
-    } else {
-        Fuzzer::new(model.clone(), 7).run_parallel(&paths, iterations, shards, |_| target)
-    };
+    let report = Fuzzer::new(model.clone(), 7).run(&paths, iterations, shards, |_| target);
     let seconds = start.elapsed().as_secs_f64();
     FuzzThroughputRow {
         model: model.name.clone(),

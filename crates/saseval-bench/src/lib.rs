@@ -560,13 +560,11 @@ pub fn repro_alt_analyses() -> String {
     out
 }
 
-/// Shard count used by [`repro_fuzz`]; 1 runs the serial loop.
+/// Shard count used by [`repro_fuzz`].
 static FUZZ_SHARDS: AtomicUsize = AtomicUsize::new(1);
 
-/// Sets the shard count [`repro_fuzz`] fuzzes with (the
-/// `repro_tables --fuzz-shards N` flag). `1` (the default) uses the
-/// serial [`Fuzzer::run`] loop; anything larger uses
-/// [`Fuzzer::run_parallel`].
+/// Sets the shard count [`repro_fuzz`] passes to [`Fuzzer::run`] (the
+/// `repro_tables --fuzz-shards N` flag; default 1).
 pub fn set_fuzz_shards(shards: usize) {
     FUZZ_SHARDS.store(shards.max(1), Ordering::Relaxed);
 }
@@ -601,12 +599,8 @@ pub fn repro_fuzz() -> String {
             TargetResponse::Rejected
         }
     }
-    let mut fuzzer = Fuzzer::new(keyless_command_model(), 7);
-    let report = if shards == 1 {
-        fuzzer.run(&paths, 10_000, decode_target)
-    } else {
-        fuzzer.run_parallel(&paths, 10_000, shards, |_| decode_target)
-    };
+    let report =
+        Fuzzer::new(keyless_command_model(), 7).run(&paths, 10_000, shards, |_| decode_target);
     let mut out = String::from("§II-B — Protocol-guided fuzzing from TARA attack paths\n");
     if shards > 1 {
         writeln!(out, "  sharded parallel run: {shards} shards").expect("write");

@@ -123,7 +123,7 @@ pub fn minimize_stats(iterations: usize, budget: usize) -> TriageBenchExport {
     let mut rows = Vec::new();
     for model in [v2x_warning_model(), keyless_command_model()] {
         let oracle = seeded_bug_oracle(&model.name);
-        let report = Fuzzer::new(model.clone(), 7).run(&paths, iterations, oracle);
+        let report = Fuzzer::new(model.clone(), 7).run(&paths, iterations, 1, |_| oracle);
         let results: Vec<MinimizeResult> = report
             .crashes
             .iter()

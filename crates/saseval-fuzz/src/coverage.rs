@@ -4,7 +4,7 @@
 //! Both dimensions are fixed-size bitsets so the per-input
 //! [`CoverageMap::record`] on the fuzzing hot loop is O(fields) bit
 //! arithmetic with no allocation, and shard maps from
-//! [`Fuzzer::run_parallel`](crate::fuzzer::Fuzzer::run_parallel) join via
+//! [`Fuzzer::run`](crate::fuzzer::Fuzzer::run) join via
 //! a word-wise [`CoverageMap::merge`].
 
 use serde::{Deserialize, Serialize};

@@ -16,12 +16,13 @@
 //!   classes and how many of the attack paths have been exercised,
 //! * [`fuzzer`] schedules fuzzing sessions over the interfaces named by
 //!   the attack paths of a [`saseval_tara::AttackTree`] and reports
-//!   crashes/violations found by the target oracle. Serial
-//!   ([`Fuzzer::run`](fuzzer::Fuzzer::run)) and sharded-parallel
-//!   ([`Fuzzer::run_parallel`](fuzzer::Fuzzer::run_parallel)) loops share
-//!   one allocation-free core; the parallel merge is deterministic per
-//!   shard count, and one shard reproduces the serial output exactly.
-//!   Targets implement [`FuzzTarget`] and run one input at a time,
+//!   crashes/violations found by the target oracle.
+//!   [`Fuzzer::run`](fuzzer::Fuzzer::run) is the one entry point: it
+//!   splits the iteration space over shards, runs them through the
+//!   crate's one shard executor (the calling thread when one thread
+//!   suffices) around one allocation-free loop, and merges them
+//!   deterministically per shard count. Targets implement
+//!   [`FuzzTarget`] — closures included — and run one input at a time,
 //! * [`sim_target`] backs the oracle with the vehicle worlds: every input
 //!   forks from a copy-on-write world snapshot taken at attack-activation
 //!   time, and the attacker-free prefix and tail run through the worlds'
@@ -34,7 +35,8 @@
 //!   operators, compiled to world configs and driven by a
 //!   coverage-guided [`scenario::ScenarioSearch`] that
 //!   reuses [`CoverageMap`] over a scenario-dimension model under the
-//!   same sharded determinism contract as the fuzzer,
+//!   same sharded determinism contract and shard executor as the
+//!   fuzzer,
 //! * [`mod@minimize`] shrinks crash inputs with deterministic delta
 //!   debugging (`ddmin` plus zero-simplification, step-budgeted),
 //! * [`corpus`] persists findings into a content-addressed on-disk
@@ -54,10 +56,12 @@
 //!     "Open the vehicle",
 //!     TreeNode::leaf_on("send forged open command", "BLE_PHONE"),
 //! )?;
-//! let mut fuzzer = Fuzzer::new(keyless_command_model(), 7);
-//! let report = fuzzer.run(&tree.paths()?, 500, |input| {
+//! let fuzzer = Fuzzer::new(keyless_command_model(), 7);
+//! let report = fuzzer.run(&tree.paths()?, 500, 1, |_shard| {
 //!     // A robust target: rejects everything malformed, never crashes.
-//!     if input.len() == 33 { TargetResponse::Accepted } else { TargetResponse::Rejected }
+//!     |input: &[u8]| {
+//!         if input.len() == 33 { TargetResponse::Accepted } else { TargetResponse::Rejected }
+//!     }
 //! });
 //! assert_eq!(report.crashes.len(), 0);
 //! assert!(report.field_coverage_percent() > 50.0);
@@ -78,9 +82,7 @@ pub mod sim_target;
 
 pub use corpus::{builtin_oracle, Corpus, CorpusEntry, EntryMeta, ReplayReport, Replayer};
 pub use coverage::CoverageMap;
-pub use fuzzer::{
-    ClosureTarget, Finding, FuzzReport, FuzzTarget, Fuzzer, TargetResponse, TriageConfig,
-};
+pub use fuzzer::{Finding, FuzzReport, FuzzTarget, Fuzzer, TargetResponse, TriageConfig};
 pub use minimize::{minimize, MinimizeConfig, MinimizeResult};
 pub use model::{FieldKind, FieldSpec, ProtocolModel};
 pub use mutate::{GeneratedInput, Mutator, ValueClass};

@@ -26,12 +26,13 @@
 //!
 //! # Determinism contract
 //!
-//! [`ScenarioSearch::run_parallel`] mirrors `Fuzzer::run_parallel`: the
-//! iteration range is split into contiguous per-shard chunks, shard `s`
-//! seeds its sampler with the same splitmix stride used by the fuzzer,
-//! and shard results merge in shard order. A fixed `(seed, shards)`
-//! pair therefore reproduces a bit-identical corpus and merged coverage
-//! map, and `shards = 1` is exactly the serial loop. Per-spec
+//! [`ScenarioSearch::run_parallel`] mirrors `Fuzzer::run` and runs on
+//! the same shard executor: the iteration range is split into
+//! contiguous per-shard chunks, shard `s` seeds its sampler with the
+//! same splitmix stride used by the fuzzer, and shard results merge in
+//! shard order. A fixed `(seed, shards)` pair therefore reproduces a
+//! bit-identical corpus and merged coverage map, whatever the thread
+//! count, and `shards = 1` is the plain serial loop. Per-spec
 //! evaluation seeds derive from the spec's canonical hash — never from
 //! the shard — so a spec receives the same verdict wherever it lands.
 //!
@@ -57,7 +58,7 @@ use vehicle_sim::construction::ConstructionConfig;
 use vehicle_sim::keyless::KeylessConfig;
 
 use crate::coverage::CoverageMap;
-use crate::fuzzer::{shard_range, shard_seed, Fuzzer};
+use crate::fuzzer::{available_threads, run_shards, shard_range, shard_seed, Fuzzer};
 use crate::model::{keyless_command_model, v2x_warning_model, FieldKind, FieldSpec, ProtocolModel};
 use crate::mutate::{GeneratedInput, ValueClass};
 use crate::sim_target::SimOracle;
@@ -733,32 +734,30 @@ impl ScenarioSearch {
         self
     }
 
-    /// Serial coverage-guided search over `budget` iterations.
-    pub fn run(&self, budget: usize) -> ScenarioSearchReport {
-        self.search(budget, 1, true)
-    }
-
-    /// Sharded coverage-guided search: bit-identical for a fixed
-    /// `(seed, shards)` pair, and `shards = 1` is exactly [`Self::run`].
+    /// Coverage-guided search over `budget` iterations split over
+    /// `shards` shards (0 counts as 1): bit-identical for a fixed
+    /// `(seed, shards)` pair.
     pub fn run_parallel(&self, budget: usize, shards: usize) -> ScenarioSearchReport {
-        self.search(budget, shards.max(1), true)
+        self.search(budget, shards.max(1), true, available_threads())
     }
 
     /// Pure random-sampling baseline at the same budget: no frontier,
     /// no mutation — every iteration samples fresh.
     pub fn run_random(&self, budget: usize) -> ScenarioSearchReport {
-        self.search(budget, 1, false)
+        self.search(budget, 1, false, 1)
     }
 
-    fn search(&self, budget: usize, shards: usize, guided: bool) -> ScenarioSearchReport {
-        let outcomes: Vec<ShardOutcome> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..shards)
-                .map(|shard| scope.spawn(move || self.run_shard(budget, shards, shard, guided)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("scenario search shard panicked"))
-                .collect()
+    /// The search behind both entry points, with its shards on at most
+    /// `max_threads` threads.
+    pub(crate) fn search(
+        &self,
+        budget: usize,
+        shards: usize,
+        guided: bool,
+        max_threads: usize,
+    ) -> ScenarioSearchReport {
+        let outcomes = run_shards((0..shards).collect(), max_threads, |shard| {
+            self.run_shard(budget, shards, shard, guided)
         });
 
         let mut merged: Option<CoverageMap> = None;
@@ -829,7 +828,8 @@ impl ScenarioSearch {
     /// spec's canonical hash (never the shard), so a spec receives the
     /// same verdict wherever — and however often — it is evaluated.
     fn evaluate(&self, spec: &ScenarioSpec, hash: u64, paths: &[AttackPath]) -> ScenarioVerdict {
-        let mut oracle = match spec.world {
+        let fuzzer = Fuzzer::new(protocol_model(spec.world), self.base_seed ^ hash);
+        let report = fuzzer.run(paths, self.eval_iterations, 1, |_| match spec.world {
             WorldKind::Keyless => SimOracle::keyless(
                 spec.keyless_config().expect("keyless spec compiles"),
                 spec.attack_at(),
@@ -838,13 +838,7 @@ impl ScenarioSearch {
                 spec.construction_config().expect("construction spec compiles"),
                 spec.attack_at(),
             ),
-        };
-        let model = match spec.world {
-            WorldKind::Keyless => keyless_command_model(),
-            WorldKind::Construction => v2x_warning_model(),
-        };
-        let mut fuzzer = Fuzzer::new(model, self.base_seed ^ hash);
-        let report = fuzzer.run_target(paths, self.eval_iterations, &mut oracle);
+        });
         if !report.crashes.is_empty() {
             ScenarioVerdict::Violating
         } else if report.rejected > 0 {
@@ -870,6 +864,16 @@ pub fn attack_paths(world: WorldKind) -> Vec<AttackPath> {
         }
     };
     tree.expect("built-in trees are well-formed").paths().expect("built-in trees have paths")
+}
+
+/// The protocol a fuzz run against `world` generates inputs for: the
+/// keyless command frame for keyless entry, the V2X warning payload for
+/// the construction site.
+pub fn protocol_model(world: WorldKind) -> ProtocolModel {
+    match world {
+        WorldKind::Keyless => keyless_command_model(),
+        WorldKind::Construction => v2x_warning_model(),
+    }
 }
 
 /// A named scenario inside a data file.
@@ -969,14 +973,11 @@ mod tests {
     }
 
     #[test]
-    fn search_is_deterministic_and_serial_equals_one_shard() {
+    fn search_is_deterministic() {
         let search = tiny_search(ScenarioSpace::keyless_default());
-        let a = search.run(6);
-        let b = search.run(6);
-        assert_eq!(a, b);
-        assert_eq!(a, search.run_parallel(6, 1));
-        let sharded = search.run_parallel(6, 2);
-        assert_eq!(sharded, search.run_parallel(6, 2));
+        for shards in [1, 2] {
+            assert_eq!(search.run_parallel(6, shards), search.run_parallel(6, shards));
+        }
     }
 
     #[test]

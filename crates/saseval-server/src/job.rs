@@ -64,6 +64,13 @@ pub const DEFAULT_HORIZON_MS: u64 = 2_000;
 /// the point the warm prefix is frozen at.
 pub const DEFAULT_ATTACK_AT_MS: u64 = 100;
 
+/// Largest shard count a `Fuzz` or `Scenario` job may request. Both
+/// build their per-shard state before packing shards onto at most
+/// `available_parallelism` threads, so an unbounded count is an
+/// unbounded allocation; the server answers a larger request with an
+/// `error` frame before it is keyed, coalesced or queued.
+pub const MAX_SHARDS: usize = 64;
+
 /// Security-control preset deployed in a fuzz scenario's world.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ControlsPreset {
@@ -412,6 +419,20 @@ impl JobSpec {
         }
     }
 
+    /// Rejects a spec the server must not execute: a `Fuzz` or
+    /// `Scenario` job asking for more than [`MAX_SHARDS`] shards.
+    pub fn check_bounds(self) -> Result<(), String> {
+        let shards = match self {
+            JobSpec::Fuzz(job) => job.shards,
+            JobSpec::Scenario(job) => job.shards,
+            JobSpec::Campaign(_) | JobSpec::Lint(_) => return Ok(()),
+        };
+        if shards > MAX_SHARDS {
+            return Err(format!("shards {shards} exceeds the maximum of {MAX_SHARDS}"));
+        }
+        Ok(())
+    }
+
     /// The canonical spec string the cache key hashes: the normalized
     /// spec, serialized.
     pub fn canonical_json(self) -> String {
@@ -513,6 +534,29 @@ mod tests {
         let JobSpec::Fuzz(mut sharded) = base else { unreachable!() };
         sharded.shards = 2;
         assert_ne!(JobSpec::Fuzz(sharded).cache_key(), base.cache_key());
+    }
+
+    #[test]
+    fn shard_counts_above_the_bound_are_rejected() {
+        let JobSpec::Fuzz(fuzz) = keyless_job() else { unreachable!() };
+        let scenario = ScenarioJob {
+            space: ScenarioSpace::keyless_default(),
+            budget: 4,
+            seed: 1,
+            shards: 0,
+            eval_iterations: 0,
+        };
+        for shards in [0, 1, MAX_SHARDS] {
+            assert!(JobSpec::Fuzz(FuzzJob { shards, ..fuzz }).check_bounds().is_ok());
+            assert!(JobSpec::Scenario(ScenarioJob { shards, ..scenario }).check_bounds().is_ok());
+        }
+        for shards in [MAX_SHARDS + 1, usize::MAX] {
+            let error = JobSpec::Fuzz(FuzzJob { shards, ..fuzz }).check_bounds().unwrap_err();
+            assert!(error.contains(&shards.to_string()), "{error}");
+            assert!(JobSpec::Scenario(ScenarioJob { shards, ..scenario }).check_bounds().is_err());
+        }
+        let campaign = JobSpec::Campaign(CampaignJob { suite: SuiteName::Ad20, seed: 0 });
+        assert!(campaign.check_bounds().is_ok());
     }
 
     #[test]

@@ -81,12 +81,13 @@ struct WriteQueue {
     chunks: VecDeque<Chunk>,
     /// Bytes of the front chunk already written.
     front_offset: usize,
-    queued_bytes: usize,
+    /// Queued bytes not yet written.
+    unwritten: usize,
 }
 
 impl WriteQueue {
     fn push(&mut self, chunk: Chunk) {
-        self.queued_bytes += chunk.as_bytes().len();
+        self.unwritten += chunk.as_bytes().len();
         self.chunks.push_back(chunk);
     }
 
@@ -95,7 +96,7 @@ impl WriteQueue {
     }
 
     fn bytes(&self) -> usize {
-        self.queued_bytes - self.front_offset
+        self.unwritten
     }
 
     /// Writes as much as the socket accepts; `Ok(n)` is the byte count
@@ -126,21 +127,17 @@ impl WriteQueue {
         Ok(total)
     }
 
-    fn consume(&mut self, mut n: usize) {
-        self.queued_bytes = self.queued_bytes.saturating_sub(n + self.front_offset);
-        n += std::mem::take(&mut self.front_offset);
+    /// Records that the next `n` unwritten bytes reached the socket.
+    fn consume(&mut self, n: usize) {
+        self.unwritten -= n;
+        let mut n = n + std::mem::take(&mut self.front_offset);
         while n > 0 {
             let front_len = self.chunks.front().expect("bytes imply a chunk").as_bytes().len();
             if n >= front_len {
                 self.chunks.pop_front();
                 n -= front_len;
             } else {
-                // Partially consumed front chunk: its full length stays
-                // in `queued_bytes` (the invariant is queued_bytes =
-                // sum of resident chunk lengths), so add back the `n`
-                // bytes the blanket subtraction above took off for it.
                 self.front_offset = n;
-                self.queued_bytes += n;
                 break;
             }
         }
@@ -509,6 +506,13 @@ impl Mux {
                         return;
                     }
                 };
+                if let Err(e) = spec.check_bounds() {
+                    self.queue_frame(
+                        conn_id,
+                        error_frame(Some(&id), &format!("invalid job request: {e}")),
+                    );
+                    return;
+                }
                 let key = spec.cache_key();
                 self.memo.store(spec_text, key, spec);
                 (key, spec)

@@ -2,8 +2,9 @@
 //! forwarding.
 //!
 //! Workers reuse the fuzzing stack's two core optimizations end-to-end:
-//! [`Fuzzer::run_parallel_targets`]'s deterministic shard merge drives
-//! every fuzz job, and each shard's oracle forks from one
+//! [`Fuzzer::run`]'s deterministic shard merge drives every fuzz job
+//! (a one-shard job runs on the worker's own thread), and each shard's
+//! oracle forks from one
 //! [`vehicle_sim::WorldSnapshot`] warm prefix that the job builds
 //! itself. An attacker-free prefix is reached by next-event jumps, so
 //! building it costs about as much as looking a resident copy up would
@@ -35,8 +36,7 @@ use std::time::{Duration, Instant};
 
 use attack_engine::campaign::run_campaign_with_obs;
 use saseval_fuzz::fuzzer::Fuzzer;
-use saseval_fuzz::model::{keyless_command_model, v2x_warning_model};
-use saseval_fuzz::scenario::attack_paths;
+use saseval_fuzz::scenario::{attack_paths, protocol_model};
 use saseval_fuzz::sim_target::SimOracle;
 use saseval_obs::{FieldValue, Obs, Recorder};
 use saseval_types::WorldKind;
@@ -94,16 +94,13 @@ fn oracle(scenario: ScenarioSpec) -> SimOracle {
 }
 
 fn run_fuzz_job(job: FuzzJob, obs: &Obs) -> JobPayload {
-    let (world, model) = match job.scenario {
-        ScenarioSpec::Keyless(_) => (WorldKind::Keyless, keyless_command_model()),
-        ScenarioSpec::Construction(_) => (WorldKind::Construction, v2x_warning_model()),
+    let world = match job.scenario {
+        ScenarioSpec::Keyless(_) => WorldKind::Keyless,
+        ScenarioSpec::Construction(_) => WorldKind::Construction,
     };
     let oracle = oracle(job.scenario);
-    let fuzzer = Fuzzer::new(model, job.seed).with_obs(obs.clone());
-    let report =
-        fuzzer.run_parallel_targets(&attack_paths(world), job.iterations, job.shards, |_| {
-            oracle.clone()
-        });
+    let fuzzer = Fuzzer::new(protocol_model(world), job.seed).with_obs(obs.clone());
+    let report = fuzzer.run(&attack_paths(world), job.iterations, job.shards, |_| oracle.clone());
     JobPayload::Fuzz(report)
 }
 
@@ -228,7 +225,7 @@ pub enum PoolEvent {
 /// It keeps the two counters [`FreshStats`] summarizes (`fuzz.inputs`
 /// and `campaign.cases`) and forwards selected live metrics to the event
 /// loop as [`PoolEvent::Progress`] messages: throughput gauges
-/// (`fuzz.inputs_per_sec`, `fuzz.shard.inputs_per_sec`), rate-limited to
+/// (`fuzz.shard.inputs_per_sec`, `scenario.inputs_per_sec`), rate-limited to
 /// one sample per 25 ms, and per-case campaign verdicts (unthrottled —
 /// suites are small). Every other emit — the simulators' per-message
 /// `net.*` counters among them — does nothing. Dropped receivers are

@@ -165,3 +165,39 @@ fn mid_search_cancel_leaves_the_cache_consistent() {
     server.shutdown();
     server.join();
 }
+
+/// A `Fuzz` or `Scenario` job asking for more than `MAX_SHARDS` shards
+/// is answered with an `error` frame and never executes; the connection
+/// stays usable for a well-formed job.
+#[test]
+fn oversized_shard_counts_get_an_error_frame_and_never_execute() {
+    use saseval_server::job::MAX_SHARDS;
+    let server = Server::start(ServerConfig::default()).expect("bind");
+    let mut client = Client::connect(&server.addr()).expect("connect");
+    let over = MAX_SHARDS + 1;
+    let jobs = [
+        format!(
+            r#"{{"Fuzz":{{"scenario":{{"Keyless":{{}}}},"iterations":8,"seed":1,"shards":{over}}}}}"#
+        ),
+        format!(r#"{{"Scenario":{{"budget":2,"seed":1,"shards":{over}}}}}"#),
+    ];
+    for (i, job) in jobs.iter().enumerate() {
+        let id = format!("over{i}");
+        client.send_line(&format!("{{\"id\":\"{id}\",\"job\":{job}}}")).expect("send");
+        let frame = client.read_frame().expect("read").expect("open");
+        assert_eq!(str_field(&frame, "id"), Some(id.as_str()));
+        assert_eq!(str_field(&frame, "event"), Some("error"), "no accepted frame first");
+        let message = str_field(&frame, "message").expect("message");
+        assert!(message.contains(&over.to_string()), "{message}");
+    }
+    assert_eq!(stat(&mut client, "executed"), 0);
+    assert_eq!(stat(&mut client, "jobs"), 0);
+
+    let bounded =
+        jobs[0].replace(&format!(r#""shards":{over}"#), &format!(r#""shards":{MAX_SHARDS}"#));
+    let outcome = client.submit("bounded", &bounded).expect("bounded run");
+    assert_eq!(outcome.cache, "miss");
+    assert_eq!(stat(&mut client, "executed"), 1);
+    server.shutdown();
+    server.join();
+}

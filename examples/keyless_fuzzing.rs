@@ -58,29 +58,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  path {i}: {}", path.steps().collect::<Vec<_>>().join(" -> "));
     }
 
-    // The fuzz target: decode + admission through the gateway stack.
-    let key = MacKey::new(0xF00D);
-    let mut stack = ControlStack::new("GW-fuzz");
-    stack.push(MacAuthenticator::new(key));
-    stack.push(FreshnessWindow::new(Ftti::from_millis(500)));
-    stack.push(ReplayDetector::new(8_192));
-
-    let mut fuzzer = Fuzzer::new(keyless_command_model(), 0xC0FFEE);
+    // The fuzz target: decode + admission through the gateway stack,
+    // built by the factory for the run's single shard.
+    let fuzzer = Fuzzer::new(keyless_command_model(), 0xC0FFEE);
     let now = SimTime::from_secs(1);
-    let report = fuzzer.run(&paths, 20_000, |input| {
-        let Some(command) = Command::decode(input) else {
-            return TargetResponse::Rejected;
-        };
-        let mut envelope =
-            Envelope::new("fuzz-sender", SimTime::from_micros(command.ts), vec![command.cmd])
-                .with_claimed_id(command.key_id);
-        if command.tag != 0 {
-            envelope = envelope.with_tag(Tag::from_raw(command.tag));
-        }
-        if stack.admit(&envelope, now).is_accepted() {
-            TargetResponse::Accepted
-        } else {
-            TargetResponse::Rejected
+    let report = fuzzer.run(&paths, 20_000, 1, |_| {
+        let mut stack = ControlStack::new("GW-fuzz");
+        stack.push(MacAuthenticator::new(MacKey::new(0xF00D)));
+        stack.push(FreshnessWindow::new(Ftti::from_millis(500)));
+        stack.push(ReplayDetector::new(8_192));
+        move |input: &[u8]| {
+            let Some(command) = Command::decode(input) else {
+                return TargetResponse::Rejected;
+            };
+            let mut envelope =
+                Envelope::new("fuzz-sender", SimTime::from_micros(command.ts), vec![command.cmd])
+                    .with_claimed_id(command.key_id);
+            if command.tag != 0 {
+                envelope = envelope.with_tag(Tag::from_raw(command.tag));
+            }
+            if stack.admit(&envelope, now).is_accepted() {
+                TargetResponse::Accepted
+            } else {
+                TargetResponse::Rejected
+            }
         }
     });
 

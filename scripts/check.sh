@@ -28,6 +28,12 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+echo "==> workspace tests: cargo test -q --workspace"
+# Tier-1 selects only the root package; this runs every crate's unit and
+# integration tests (the payload goldens, allocation budgets and fuzzer
+# unit tests among them).
+cargo test -q --workspace
+
 echo "==> unread flood path: equivalence proptests in release, 256 cases"
 # The properties keep proptest's default configuration, which reads
 # PROPTEST_CASES; tier-1 runs them with the default 64 cases.
@@ -43,6 +49,9 @@ echo "==> regression corpus smoke: repro_tables --replay-corpus tests/fixtures/c
 cargo run -q --release -p saseval-bench --bin repro_tables -- --replay-corpus tests/fixtures/corpus
 
 echo "==> campaign server smoke: repeat request is a byte-identical cache hit"
+# The tier-1 release build covers only the root package; build the
+# server binary the smokes below start.
+cargo build --release -q -p saseval-server
 SERVER_BIN=target/release/saseval-server
 SERVER_ADDR=127.0.0.1:7461
 SERVER_CACHE="$(mktemp -d)"

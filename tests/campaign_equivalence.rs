@@ -60,31 +60,30 @@ fn scenario_compiled_demonstrators_equal_hand_built_worlds() {
     // Use case 2: keyless entry.
     let spec = ScenarioSpec::keyless_demonstrator();
     let paths = leaf_paths("Open the vehicle", "send forged open command", "BLE_PHONE");
-    let mut compiled =
-        SimOracle::keyless(spec.keyless_config().expect("compiles"), spec.attack_at());
-    let mut hand_built = SimOracle::keyless(
+    let compiled = SimOracle::keyless(spec.keyless_config().expect("compiles"), spec.attack_at());
+    let hand_built = SimOracle::keyless(
         KeylessConfig { horizon: spec.horizon(), ..KeylessConfig::default() },
         spec.attack_at(),
     );
     let from_spec =
-        Fuzzer::new(keyless_command_model(), SEED).run_target(&paths, ITERATIONS, &mut compiled);
-    let from_world =
-        Fuzzer::new(keyless_command_model(), SEED).run_target(&paths, ITERATIONS, &mut hand_built);
+        Fuzzer::new(keyless_command_model(), SEED).run(&paths, ITERATIONS, 1, |_| compiled.clone());
+    let from_world = Fuzzer::new(keyless_command_model(), SEED)
+        .run(&paths, ITERATIONS, 1, |_| hand_built.clone());
     assert_eq!(from_spec, from_world, "keyless demonstrator worlds are trace-equivalent");
 
     // Use case 1: construction warnings.
     let spec = ScenarioSpec::construction_demonstrator();
     let paths = leaf_paths("Disrupt warnings", "spoof signage", "OBU_RSU");
-    let mut compiled =
+    let compiled =
         SimOracle::construction(spec.construction_config().expect("compiles"), spec.attack_at());
-    let mut hand_built = SimOracle::construction(
+    let hand_built = SimOracle::construction(
         ConstructionConfig { horizon: spec.horizon(), ..ConstructionConfig::default() },
         spec.attack_at(),
     );
     let from_spec =
-        Fuzzer::new(v2x_warning_model(), SEED).run_target(&paths, ITERATIONS, &mut compiled);
+        Fuzzer::new(v2x_warning_model(), SEED).run(&paths, ITERATIONS, 1, |_| compiled.clone());
     let from_world =
-        Fuzzer::new(v2x_warning_model(), SEED).run_target(&paths, ITERATIONS, &mut hand_built);
+        Fuzzer::new(v2x_warning_model(), SEED).run(&paths, ITERATIONS, 1, |_| hand_built.clone());
     assert_eq!(from_spec, from_world, "construction demonstrator worlds are trace-equivalent");
 }
 

@@ -147,7 +147,8 @@ fn serial_triage_persists_and_replays_clean() {
     let report = Fuzzer::new(model.clone(), 11).with_triage(TriageConfig::new(&corpus_dir)).run(
         &attack_paths,
         3_000,
-        crashy_target,
+        1,
+        |_| crashy_target,
     );
     assert!(!report.crashes.is_empty(), "the seeded bugs must fire");
 

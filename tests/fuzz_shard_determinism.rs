@@ -1,13 +1,12 @@
-//! Properties of the sharded parallel fuzzing engine:
+//! Properties of the sharded fuzzing engine:
 //!
-//! 1. `run_parallel` with one shard is byte-identical to the serial
-//!    `Fuzzer::run` for the same seed;
+//! 1. reports at one, two and three shards hash to pinned values (the
+//!    one-shard hashes were taken from the former serial loop, so the
+//!    one-shard run still produces its bytes);
 //! 2. for any fixed shard count the merged report is identical across
 //!    repeated executions (thread scheduling never leaks into results);
-//! 3. merged coverage percentages equal a serial recount over the union
-//!    of all shard input streams (computed here by running the same
-//!    configuration at one shard per sub-range — the recount path the
-//!    unit suite cross-checks against regenerated mutator streams).
+//! 3. merged counts and coverage stay consistent for every small shard
+//!    count, and triage never perturbs the merged report.
 
 use proptest::prelude::*;
 
@@ -60,21 +59,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
-    fn one_shard_equals_serial(
-        seed in 0u64..10_000,
-        iterations in 0usize..2_000,
-        keyless in any::<bool>(),
-    ) {
-        let attack_paths = paths();
-        let mut serial = Fuzzer::new(model_for(keyless), seed);
-        let serial_report = serial.run(&attack_paths, iterations, crashy_target);
-        let parallel = Fuzzer::new(model_for(keyless), seed);
-        let parallel_report =
-            parallel.run_parallel(&attack_paths, iterations, 1, |_| crashy_target);
-        prop_assert_eq!(serial_report, parallel_report);
-    }
-
-    #[test]
     fn fixed_shard_count_is_reproducible(
         seed in 0u64..10_000,
         iterations in 0usize..2_000,
@@ -84,7 +68,7 @@ proptest! {
         let attack_paths = paths();
         let run = || {
             Fuzzer::new(model_for(keyless), seed)
-                .run_parallel(&attack_paths, iterations, shards, |_| crashy_target)
+                .run(&attack_paths, iterations, shards, |_| crashy_target)
         };
         prop_assert_eq!(run(), run());
     }
@@ -97,7 +81,7 @@ proptest! {
     ) {
         let attack_paths = paths();
         let report = Fuzzer::new(v2x_warning_model(), seed)
-            .run_parallel(&attack_paths, iterations, shards, |_| crashy_target);
+            .run(&attack_paths, iterations, shards, |_| crashy_target);
         prop_assert_eq!(report.iterations, iterations);
         // Accepted + rejected + unique crashes never exceeds the input
         // count (duplicate crash inputs fall into no bucket).
@@ -126,11 +110,11 @@ proptest! {
     ) {
         let attack_paths = paths();
         let plain = Fuzzer::new(model_for(keyless), seed)
-            .run_parallel(&attack_paths, iterations, shards, |_| crashy_target);
+            .run(&attack_paths, iterations, shards, |_| crashy_target);
         let corpus_dir = unique_corpus_dir();
         let triaged = Fuzzer::new(model_for(keyless), seed)
             .with_triage(TriageConfig::new(&corpus_dir))
-            .run_parallel(&attack_paths, iterations, shards, |_| crashy_target);
+            .run(&attack_paths, iterations, shards, |_| crashy_target);
         let _ = std::fs::remove_dir_all(&corpus_dir);
         prop_assert_eq!(plain, triaged);
     }
@@ -180,20 +164,16 @@ fn unique_corpus_dir() -> std::path::PathBuf {
 }
 
 /// Exhaustive small-case check (not proptest-sampled): every shard count
-/// from 1 to 12 over a fixed workload yields the serial coverage
-/// percentages, because every global iteration is fuzzed exactly once and
-/// the serial stream is shard 0's stream.
+/// from 1 to 12 over a fixed workload fuzzes every global iteration
+/// exactly once and round-robins every attack path.
 #[test]
 fn all_small_shard_counts_cover_the_full_iteration_space() {
     let attack_paths = paths();
     let iterations = 600;
     for shards in 1..=12usize {
-        let report = Fuzzer::new(v2x_warning_model(), 3).run_parallel(
-            &attack_paths,
-            iterations,
-            shards,
-            |_| crashy_target,
-        );
+        let report =
+            Fuzzer::new(v2x_warning_model(), 3)
+                .run(&attack_paths, iterations, shards, |_| crashy_target);
         assert_eq!(report.iterations, iterations, "{shards} shards");
         assert_eq!(
             report.path_coverage_percent(),
@@ -207,7 +187,7 @@ fn all_small_shard_counts_cover_the_full_iteration_space() {
 /// FNV-1a of the serialized report for every pinned
 /// `(keyless model, seed, shards)` triple at [`GOLDEN_ITERATIONS`]
 /// inputs against [`crashy_target`]. The one-shard rows were taken from
-/// the serial loop, so they pin that stream byte for byte.
+/// the former serial loop, so they pin that stream byte for byte.
 const FUZZ_GOLDENS: [(bool, u64, usize, u64); 18] = [
     (true, 1, 1, 0x7e005644391c484b),
     (true, 1, 2, 0x2add63af560c2a73),
@@ -232,17 +212,9 @@ const FUZZ_GOLDENS: [(bool, u64, usize, u64); 18] = [
 const GOLDEN_ITERATIONS: usize = 2_000;
 
 fn golden_report_hash(keyless: bool, seed: u64, shards: usize) -> u64 {
-    let attack_paths = paths();
-    let report = if shards == 1 {
-        Fuzzer::new(model_for(keyless), seed).run(&attack_paths, GOLDEN_ITERATIONS, crashy_target)
-    } else {
-        Fuzzer::new(model_for(keyless), seed).run_parallel(
-            &attack_paths,
-            GOLDEN_ITERATIONS,
-            shards,
-            |_| crashy_target,
-        )
-    };
+    let report =
+        Fuzzer::new(model_for(keyless), seed)
+            .run(&paths(), GOLDEN_ITERATIONS, shards, |_| crashy_target);
     fnv1a64(serde_json::to_string(&report).expect("report serializes").as_bytes())
 }
 

@@ -7,9 +7,10 @@
 //! 2. forks are independent: events injected into the parent after the
 //!    fork never leak into the fork (and vice versa);
 //! 3. the frozen snapshot itself never advances;
-//! 4. fuzzing through the simulation oracle produces bit-identical
-//!    reports serially and on one shard, and reproducible reports at a
-//!    fixed shard count;
+//! 4. fuzzing through the simulation oracle on one shard reports
+//!    exactly what a serial replay of the seeded input stream through
+//!    one oracle observes, and reports are reproducible at a fixed
+//!    shard count;
 //! 5. from the same fork, the attacker-free next-event advance
 //!    (`advance_unattacked`, which skips or shortens provably idle
 //!    ticks) ends exactly where tick-by-tick `step(&mut ())` does:
@@ -21,8 +22,9 @@ mod common;
 use bytes::Bytes;
 use proptest::prelude::*;
 
-use saseval::fuzz::fuzzer::Fuzzer;
+use saseval::fuzz::fuzzer::{FuzzTarget, Fuzzer, TargetResponse};
 use saseval::fuzz::model::keyless_command_model;
+use saseval::fuzz::mutate::{GeneratedInput, Mutator};
 use saseval::fuzz::sim_target::SimOracle;
 use saseval::net::ble::BleConfig;
 use saseval::net::v2x::V2xMessage;
@@ -151,8 +153,9 @@ proptest! {
         prop_assert_eq!(json(&fork.into_outcome()), reference_outcome);
     }
 
-    /// Fuzzing through the simulation oracle: a one-shard parallel run
-    /// produces the serial report.
+    /// Fuzzing through the simulation oracle: a one-shard run reports
+    /// what a serial replay of the same seeded input stream (every 10th
+    /// input a valid baseline) through one oracle observes.
     #[test]
     fn sim_oracle_one_shard_fuzzing_equals_serial(
         seed in any::<u64>(),
@@ -166,11 +169,33 @@ proptest! {
         let oracle = SimOracle::keyless(config, SimTime::from_millis(attack_ms));
         let attack_paths = paths();
 
-        let serial = Fuzzer::new(keyless_command_model(), seed)
-            .run_target(&attack_paths, 30, &mut oracle.clone());
         let one_shard = Fuzzer::new(keyless_command_model(), seed)
-            .run_parallel_targets(&attack_paths, 30, 1, |_| oracle.clone());
-        prop_assert_eq!(&serial, &one_shard);
+            .run(&attack_paths, 30, 1, |_| oracle.clone());
+
+        let mut serial = oracle;
+        let mut mutator = Mutator::new(keyless_command_model(), seed);
+        let mut input = GeneratedInput::empty();
+        let (mut accepted, mut rejected, mut crashes) = (0, 0, Vec::<Vec<u8>>::new());
+        for i in 0..30 {
+            if i % 10 == 0 {
+                mutator.generate_valid_into(&mut input);
+            } else {
+                mutator.generate_into(&mut input);
+            }
+            match serial.respond(&input.bytes) {
+                TargetResponse::Accepted => accepted += 1,
+                TargetResponse::Rejected => rejected += 1,
+                TargetResponse::Crash if !crashes.contains(&input.bytes) => {
+                    crashes.push(input.bytes.clone());
+                }
+                TargetResponse::Crash => {}
+            }
+        }
+        prop_assert_eq!(one_shard.iterations, 30);
+        prop_assert_eq!(one_shard.accepted, accepted);
+        prop_assert_eq!(one_shard.rejected, rejected);
+        let found: Vec<Vec<u8>> = one_shard.crashes.iter().map(|f| f.input.clone()).collect();
+        prop_assert_eq!(found, crashes);
     }
 }
 
@@ -187,12 +212,8 @@ fn sharded_sim_oracle_fuzzing_is_reproducible() {
     let attack_paths = paths();
     for shards in [2usize, 3] {
         let run = || {
-            Fuzzer::new(keyless_command_model(), 17).run_parallel_targets(
-                &attack_paths,
-                48,
-                shards,
-                |_| oracle.clone(),
-            )
+            Fuzzer::new(keyless_command_model(), 17)
+                .run(&attack_paths, 48, shards, |_| oracle.clone())
         };
         assert_eq!(run(), run(), "{shards} shards reproducible");
     }

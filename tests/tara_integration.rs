@@ -112,26 +112,29 @@ fn attack_tree_paths_drive_fuzzer_with_full_path_coverage() {
     // world deploys. Isolation is disabled: a fuzzer hammers one sender
     // by design.
     let key = MacKey::new(0xA11CE);
-    let mut stack = ControlStack::new("OBU-fuzz");
-    stack.set_isolation_threshold(u32::MAX);
-    stack.push(saseval::controls::controls::PlausibilityCheck::new(
-        "signage-plausibility",
-        |env, _| match env.payload() {
-            [2, limit, ..] if !(5..=130).contains(limit) => {
-                Err(format!("speed limit {limit} outside [5, 130]"))
+    let fuzzer = Fuzzer::new(v2x_warning_model(), 99);
+    let report = fuzzer.run(&paths, 5_000, 1, |_| {
+        let mut stack = ControlStack::new("OBU-fuzz");
+        stack.set_isolation_threshold(u32::MAX);
+        stack.push(saseval::controls::controls::PlausibilityCheck::new(
+            "signage-plausibility",
+            |env, _| match env.payload() {
+                [2, limit, ..] if !(5..=130).contains(limit) => {
+                    Err(format!("speed limit {limit} outside [5, 130]"))
+                }
+                _ => Ok(()),
+            },
+        ));
+        move |input: &[u8]| {
+            let envelope = Envelope::new("fuzz", SimTime::ZERO, input.to_vec());
+            // Plausibility check applies to the first byte = limit
+            // semantics of the simplified model; rejection is the
+            // expected response.
+            if stack.admit(&envelope, SimTime::ZERO).is_accepted() {
+                TargetResponse::Accepted
+            } else {
+                TargetResponse::Rejected
             }
-            _ => Ok(()),
-        },
-    ));
-    let mut fuzzer = Fuzzer::new(v2x_warning_model(), 99);
-    let report = fuzzer.run(&paths, 5_000, |input| {
-        let envelope = Envelope::new("fuzz", SimTime::ZERO, input.to_vec());
-        // Plausibility check applies to the first byte = limit semantics
-        // of the simplified model; rejection is the expected response.
-        if stack.admit(&envelope, SimTime::ZERO).is_accepted() {
-            TargetResponse::Accepted
-        } else {
-            TargetResponse::Rejected
         }
     });
     let _ = key;
@@ -147,11 +150,13 @@ fn fuzzer_finds_seeded_decoder_bug_from_attack_paths() {
     // signage frame carries limit zero — the classic missed boundary.
     let tree = uc1_attack_tree();
     let paths = tree.paths().unwrap();
-    let mut fuzzer = Fuzzer::new(v2x_warning_model(), 1234);
-    let report = fuzzer.run(&paths, 5_000, |input| match input {
-        [2, 0] => TargetResponse::Crash,
-        [t, _] if (1..=3).contains(t) => TargetResponse::Accepted,
-        _ => TargetResponse::Rejected,
+    let fuzzer = Fuzzer::new(v2x_warning_model(), 1234);
+    let report = fuzzer.run(&paths, 5_000, 1, |_| {
+        |input: &[u8]| match input {
+            [2, 0] => TargetResponse::Crash,
+            [t, _] if (1..=3).contains(t) => TargetResponse::Accepted,
+            _ => TargetResponse::Rejected,
+        }
     });
     assert!(!report.crashes.is_empty(), "seeded bug found");
     let finding = &report.crashes[0];
