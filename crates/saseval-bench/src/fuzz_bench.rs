@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 pub struct FuzzThroughputRow {
     /// Protocol model name.
     pub model: String,
-    /// Shard count (1 = the serial [`Fuzzer::run`] loop).
+    /// Shard count passed to [`Fuzzer::run`].
     pub shards: usize,
     /// Inputs executed.
     pub iterations: usize,
