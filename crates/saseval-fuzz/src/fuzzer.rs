@@ -170,37 +170,38 @@ pub(crate) fn available_threads() -> usize {
 }
 
 /// The crate's one shard executor, behind [`Fuzzer::run`] and the
-/// scenario search: runs `run` over `jobs` and returns the outcomes in
-/// job order.
+/// scenario search: runs `run` over the shard indices `0..shards` and
+/// returns the outcomes in shard order.
 ///
 /// More shard threads than hardware threads is pure overhead (4-15 % on
-/// a 1-core container, EXPERIMENTS.md), so jobs are packed in contiguous
-/// groups onto `min(jobs, max_threads)` scoped threads, and run on the
-/// calling thread when that is one. Contiguous groups keep the joined
-/// outcomes in job order, which the callers' merges rely on. Everything
-/// deterministic — per-shard seeds, iteration ranges, the merge — is
-/// keyed off the job list, so the thread count never changes a result.
-pub(crate) fn run_shards<J, O>(
-    jobs: Vec<J>,
+/// a 1-core container, EXPERIMENTS.md), so shards are packed in
+/// contiguous groups onto `min(shards, max_threads)` scoped threads, and
+/// run on the calling thread when that is one. Contiguous groups keep
+/// the joined outcomes in shard order, which the callers' merges rely
+/// on. Everything deterministic — per-shard seeds, iteration ranges, the
+/// merge — is keyed off the shard index, so the thread count never
+/// changes a result. Whatever `run` builds for a shard lives only while
+/// that shard runs, so live per-shard state grows with the thread count,
+/// not the shard count.
+pub(crate) fn run_shards<O>(
+    shards: usize,
     max_threads: usize,
-    run: impl Fn(J) -> O + Sync,
+    run: impl Fn(usize) -> O + Sync,
 ) -> Vec<O>
 where
-    J: Send,
     O: Send,
 {
-    let threads = jobs.len().min(max_threads).max(1);
+    let threads = shards.min(max_threads).max(1);
     if threads == 1 {
-        return jobs.into_iter().map(run).collect();
+        return (0..shards).map(run).collect();
     }
-    let chunk = jobs.len().div_ceil(threads);
+    let chunk = shards.div_ceil(threads);
     let run = &run;
-    let mut jobs = jobs.into_iter();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let group: Vec<J> = jobs.by_ref().take(chunk).collect();
-                scope.spawn(move || group.into_iter().map(run).collect::<Vec<O>>())
+            .map(|group| {
+                let group = (group * chunk).min(shards)..((group + 1) * chunk).min(shards);
+                scope.spawn(move || group.map(run).collect::<Vec<O>>())
             })
             .collect();
         handles.into_iter().flat_map(|handle| handle.join().expect("shard panicked")).collect()
@@ -366,9 +367,10 @@ impl Fuzzer {
     ///
     /// Shard `s` owns a private [`Mutator`] seeded from
     /// `(base_seed, s)` — shard 0 uses the base seed itself — a private
-    /// [`CoverageMap`] and the target `target_factory(s)` builds. Shards
-    /// run on at most `available_parallelism` scoped threads; a run
-    /// that needs one thread stays on the calling thread.
+    /// [`CoverageMap`] and the target `target_factory(s)` builds just
+    /// before the shard runs (and drops when it ends). Shards run on at
+    /// most `available_parallelism` scoped threads; a run that needs one
+    /// thread stays on the calling thread.
     ///
     /// Determinism contract (asserted by the test suite): for any fixed
     /// shard count the merged report is identical across repeated runs,
@@ -383,8 +385,8 @@ impl Fuzzer {
         target_factory: F,
     ) -> FuzzReport
     where
-        F: FnMut(usize) -> T,
-        T: FuzzTarget + Send,
+        F: Fn(usize) -> T + Sync,
+        T: FuzzTarget,
     {
         self.run_on(paths, iterations, shards, available_threads(), target_factory)
     }
@@ -401,8 +403,8 @@ impl Fuzzer {
         target_factory: F,
     ) -> FuzzReport
     where
-        F: FnMut(usize) -> T,
-        T: FuzzTarget + Send,
+        F: Fn(usize) -> T + Sync,
+        T: FuzzTarget,
     {
         self.run(paths, iterations, shards, target_factory)
     }
@@ -414,11 +416,11 @@ impl Fuzzer {
         iterations: usize,
         shards: usize,
         max_threads: usize,
-        mut target_factory: F,
+        target_factory: F,
     ) -> FuzzReport
     where
-        F: FnMut(usize) -> T,
-        T: FuzzTarget + Send,
+        F: Fn(usize) -> T + Sync,
+        T: FuzzTarget,
     {
         let shards = shards.max(1);
         let clamped = shards.saturating_sub(max_threads.max(1));
@@ -426,9 +428,8 @@ impl Fuzzer {
             self.obs.counter("fuzz.shards_clamped", clamped as u64);
         }
         let span = self.obs.span("fuzz.run_seconds");
-        let jobs: Vec<(usize, T)> =
-            (0..shards).map(|shard| (shard, target_factory(shard))).collect();
-        let outcomes = run_shards(jobs, max_threads, |(shard, mut target)| {
+        let outcomes = run_shards(shards, max_threads, |shard| {
+            let mut target = target_factory(shard);
             let mut mutator = Mutator::new(self.model.clone(), shard_seed(self.base_seed, shard));
             let range = shard_range(iterations, shards, shard);
             run_shard(&mut mutator, paths, range, shard, &mut target, &self.obs)
@@ -670,6 +671,46 @@ mod tests {
             serde_json::to_string(&search.search(6, 3, true, max_threads)).expect("serializes")
         };
         assert_eq!(bytes(1), bytes(3));
+    }
+
+    #[test]
+    fn shard_targets_are_built_lazily_and_live_per_thread() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        /// A target that counts live instances: `built` on creation,
+        /// `live` decremented on drop, `peak` the high-water mark.
+        struct Counted<'a>(&'a (AtomicUsize, AtomicUsize, AtomicUsize));
+        impl Counted<'_> {
+            fn new(counts: &(AtomicUsize, AtomicUsize, AtomicUsize)) -> Counted<'_> {
+                let (built, live, peak) = counts;
+                built.fetch_add(1, Ordering::SeqCst);
+                let now = live.fetch_add(1, Ordering::SeqCst) + 1;
+                peak.fetch_max(now, Ordering::SeqCst);
+                Counted(counts)
+            }
+        }
+        impl Drop for Counted<'_> {
+            fn drop(&mut self) {
+                self.0 .1.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+        impl FuzzTarget for Counted<'_> {
+            fn respond(&mut self, input: &[u8]) -> TargetResponse {
+                rejecting(input)
+            }
+        }
+
+        for max_threads in [1, 2, 4] {
+            let counts = (AtomicUsize::new(0), AtomicUsize::new(0), AtomicUsize::new(0));
+            let fuzzer = Fuzzer::new(v2x_warning_model(), 3);
+            let report = fuzzer.run_on(&paths(), 640, 64, max_threads, |_| Counted::new(&counts));
+            assert_eq!(report.rejected, 640);
+            let (built, live, peak) = &counts;
+            assert_eq!(built.load(Ordering::SeqCst), 64, "one target per shard");
+            assert_eq!(live.load(Ordering::SeqCst), 0, "every target dropped");
+            let peak = peak.load(Ordering::SeqCst);
+            assert!(peak <= max_threads, "{peak} live targets on {max_threads} threads");
+        }
     }
 
     #[test]

@@ -756,9 +756,8 @@ impl ScenarioSearch {
         guided: bool,
         max_threads: usize,
     ) -> ScenarioSearchReport {
-        let outcomes = run_shards((0..shards).collect(), max_threads, |shard| {
-            self.run_shard(budget, shards, shard, guided)
-        });
+        let outcomes =
+            run_shards(shards, max_threads, |shard| self.run_shard(budget, shards, shard, guided));
 
         let mut merged: Option<CoverageMap> = None;
         let mut records: Vec<ScenarioRecord> = Vec::new();

@@ -420,11 +420,17 @@ impl JobSpec {
     }
 
     /// Rejects a spec the server must not execute: a `Fuzz` or
-    /// `Scenario` job asking for more than [`MAX_SHARDS`] shards.
+    /// `Scenario` job asking for more than [`MAX_SHARDS`] shards, or a
+    /// `Scenario` job whose space fails [`ScenarioSpace::validate`] (an
+    /// inverted range or an enum index past its variants would panic
+    /// the sampler on a worker).
     pub fn check_bounds(self) -> Result<(), String> {
         let shards = match self {
             JobSpec::Fuzz(job) => job.shards,
-            JobSpec::Scenario(job) => job.shards,
+            JobSpec::Scenario(job) => {
+                job.space.validate()?;
+                job.shards
+            }
             JobSpec::Campaign(_) | JobSpec::Lint(_) => return Ok(()),
         };
         if shards > MAX_SHARDS {
@@ -497,6 +503,7 @@ impl JobPayload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use saseval_fuzz::scenario::DimRange;
 
     fn keyless_job() -> JobSpec {
         JobSpec::Fuzz(FuzzJob {
@@ -557,6 +564,27 @@ mod tests {
         }
         let campaign = JobSpec::Campaign(CampaignJob { suite: SuiteName::Ad20, seed: 0 });
         assert!(campaign.check_bounds().is_ok());
+    }
+
+    #[test]
+    fn invalid_scenario_spaces_are_rejected() {
+        let valid = ScenarioJob {
+            space: ScenarioSpace::keyless_default(),
+            budget: 4,
+            seed: 1,
+            shards: 0,
+            eval_iterations: 0,
+        };
+        assert!(JobSpec::Scenario(valid).check_bounds().is_ok());
+        let inverted = ScenarioSpace { ftti_ms: DimRange::new(900, 300), ..valid.space };
+        let error =
+            JobSpec::Scenario(ScenarioJob { space: inverted, ..valid }).check_bounds().unwrap_err();
+        assert!(error.contains("ftti_ms") && error.contains("inverted"), "{error}");
+        let past_variants = ScenarioSpace { controls: DimRange::new(0, 3), ..valid.space };
+        let error = JobSpec::Scenario(ScenarioJob { space: past_variants, ..valid })
+            .check_bounds()
+            .unwrap_err();
+        assert!(error.contains("controls") && error.contains('3'), "{error}");
     }
 
     #[test]

@@ -201,3 +201,36 @@ fn oversized_shard_counts_get_an_error_frame_and_never_execute() {
     server.shutdown();
     server.join();
 }
+
+/// A `Scenario` job whose space is invalid — an inverted range, or an
+/// enum dimension admitting an index past its variants — is answered
+/// with an `error` frame before it is keyed, coalesced or queued, so
+/// the sampler never panics on a worker.
+#[test]
+fn invalid_scenario_spaces_get_an_error_frame_and_never_execute() {
+    let server = Server::start(ServerConfig::default()).expect("bind");
+    let mut client = Client::connect(&server.addr()).expect("connect");
+    let space = |ftti: &str, controls: &str| {
+        format!(
+            r#"{{"world":"Keyless","traffic_density":{{"lo":0,"hi":0}},"platoon_followers":{{"lo":0,"hi":0}},"platoon_spacing_m":{{"lo":0,"hi":0}},"rsu_count":{{"lo":0,"hi":0}},"channel":{{"lo":0,"hi":2}},"attacker":{{"lo":0,"hi":2}},"ftti_ms":{ftti},"controls":{controls}}}"#
+        )
+    };
+    let cases = [
+        (space(r#"{"lo":900,"hi":300}"#, r#"{"lo":0,"hi":2}"#), "ftti_ms"),
+        (space(r#"{"lo":200,"hi":1800}"#, r#"{"lo":0,"hi":3}"#), "controls"),
+    ];
+    for (i, (space, dimension)) in cases.iter().enumerate() {
+        let id = format!("bad{i}");
+        let job = format!(r#"{{"Scenario":{{"space":{space},"budget":4,"seed":1}}}}"#);
+        client.send_line(&format!("{{\"id\":\"{id}\",\"job\":{job}}}")).expect("send");
+        let frame = client.read_frame().expect("read").expect("open");
+        assert_eq!(str_field(&frame, "id"), Some(id.as_str()));
+        assert_eq!(str_field(&frame, "event"), Some("error"), "no accepted frame first");
+        let message = str_field(&frame, "message").expect("message");
+        assert!(message.contains(dimension), "{message}");
+    }
+    assert_eq!(stat(&mut client, "executed"), 0);
+    assert_eq!(stat(&mut client, "jobs"), 0);
+    server.shutdown();
+    server.join();
+}
