@@ -15,45 +15,57 @@
 //! interested socket without copying the payload again (see
 //! [`crate::protocol::done_head`] for the byte-identity contract).
 //!
-//! On-disk layout mirrors the fuzz corpus idiom and stores the *raw*
-//! payload bytes (framing is a memory-tier concern; the disk format is
-//! unchanged across versions):
+//! The disk tier is an append-only log of *raw* payload bytes (framing
+//! is a memory-tier concern) split into numbered segment files, with an
+//! in-memory index in front of it:
 //!
 //! ```text
-//! <dir>/<16-hex-key>.bin    payload bytes
-//! <dir>/<16-hex-key>.json   sidecar (DiskMeta: length, payload hash,
-//!                           code version)
+//! <dir>/00000000.seg   record record record …
+//! <dir>/00000001.seg   record record …
+//!
+//! record = magic (8) | key (8) | payload len (8) | payload fnv1a64 (8)
+//!          | code-version fnv1a64 (8) | payload bytes
 //! ```
 //!
-//! Writes go through a temp file plus rename, so a crash mid-write
-//! leaves either the old entry or none — never a torn one. Reads verify
-//! the sidecar's payload hash and code version; any mismatch is treated
-//! as a miss and the entry is removed (counted under
-//! [`CacheStats::corrupt`]), so a corrupted store degrades to
-//! recomputation instead of serving bad bytes. A disk hit streams the
-//! payload straight into its final framed allocation (sidecar JSON goes
-//! through a reusable scratch buffer), so even the cold tier performs
-//! exactly one payload-sized allocation per hit.
+//! An insert is one `write_all` of header plus payload to the segment
+//! this process appends to; the index (`key → segment, offset, length,
+//! payload hash`) is updated only after the write returns. A process
+//! never appends to a segment it did not create: it creates its first
+//! segment on its first insert (`create_new`, skipping numbers another
+//! process took), so opening a cache creates nothing.
 //!
-//! With [`ResultCache::with_disk_cap`], the disk tier enforces a byte
-//! cap on payload bytes: after each insert, whole entries are removed
-//! oldest-first (by a monotonic insertion sequence persisted in the
-//! sidecar) until the store fits. Eviction removes the sidecar before
-//! the payload, so an interrupted eviction leaves an unreferenced
-//! payload file — never a referenced-but-missing one. The newest entry
-//! is always kept, so a single payload larger than the cap still
-//! caches; the cap is a bound on steady-state growth, not a hard
-//! invariant.
+//! Opening a cache builds the index by scanning every segment's record
+//! headers in segment order, seeking past payloads; the newest record
+//! of a key wins. A segment's scan stops at its first short or torn
+//! record (a header without the magic, or a payload running past the
+//! end of the file), so a crash mid-append loses at most the record
+//! being written and never an earlier one.
+//!
+//! A lookup that misses the index costs no syscall. A hit is one
+//! positioned read on the segment's kept-open handle, streamed straight
+//! into the final framed allocation, then verified against the indexed
+//! length, payload hash and code version. Any mismatch is treated as a
+//! miss and drops the index entry (counted under [`CacheStats::corrupt`]),
+//! so a corrupted store degrades to recomputation instead of serving bad
+//! bytes. Files other than segments (such as the `<key>.bin`/`<key>.json`
+//! pairs of the earlier file-per-entry layout) are ignored.
+//!
+//! With [`ResultCache::with_disk_cap`], the disk tier bounds its payload
+//! bytes: the segment being appended to rolls over once it holds a
+//! quarter of the cap, and after each insert whole segments are deleted
+//! oldest-first while the total exceeds the cap. The segment being
+//! appended to is never deleted, so the newest entry is always kept and
+//! a single payload larger than the cap still caches; the cap is a bound
+//! on steady-state growth, not a hard invariant.
 
-use std::collections::VecDeque;
-use std::fs;
-use std::io::{self, Read};
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::fs::{self, File, OpenOptions};
+use std::io::{self, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-use saseval_types::hash::content_hash;
-use serde::{Deserialize, Serialize};
+use saseval_types::hash::fnv1a64;
 
 use crate::job::code_version;
 
@@ -146,28 +158,11 @@ pub struct CacheStats {
     pub disk_hits: AtomicU64,
     /// Lookups answered by neither tier.
     pub misses: AtomicU64,
-    /// On-disk entries rejected (hash/version mismatch) and removed.
+    /// On-disk records rejected (length/hash/version mismatch) and
+    /// dropped from the index.
     pub corrupt: AtomicU64,
-    /// On-disk entries removed by the byte-cap eviction.
+    /// Index entries dropped by the byte-cap eviction.
     pub evicted: AtomicU64,
-}
-
-/// Sidecar metadata stored next to each on-disk payload.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-struct DiskMeta {
-    /// 16-hex cache key (the file stem).
-    key: String,
-    /// Payload length in bytes.
-    len: usize,
-    /// fnv1a64 content hash of the payload bytes.
-    payload_hash: String,
-    /// Code-version fingerprint that produced the payload.
-    code_version: String,
-    /// Monotonic insertion sequence; drives oldest-first eviction.
-    /// Absent in stores written before the cap existed (treated as
-    /// oldest).
-    #[serde(default)]
-    seq: u64,
 }
 
 /// In-memory LRU over pre-framed payloads. Recency is the deque order
@@ -206,28 +201,21 @@ impl Lru {
 #[derive(Debug)]
 pub struct ResultCache {
     mem: Mutex<Lru>,
-    disk: Option<PathBuf>,
-    /// Payload-byte cap for the disk tier; `None` = unbounded.
-    disk_cap: Option<u64>,
-    /// Next insertion sequence number, resumed past any sequence
-    /// already on disk so restarts keep evicting oldest-first.
-    seq: AtomicU64,
-    version: String,
-    /// Reusable sidecar-read scratch: disk hits stream the metadata
-    /// through this buffer instead of allocating a fresh `String` per
-    /// lookup.
-    sidecar_scratch: Mutex<String>,
+    disk: Option<Mutex<DiskTier>>,
     /// Hit/miss counters.
     pub stats: CacheStats,
 }
 
-fn key_hex(key: u64) -> String {
-    format!("{key:016x}")
+/// Locks `mutex`, recovering the data from a poisoned lock: every
+/// structure behind the cache's locks is consistent between statements.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 impl ResultCache {
     /// A cache holding up to `mem_capacity` payloads in memory, backed
-    /// by the on-disk store at `disk` when given. The disk directory is
+    /// by the on-disk store at `disk` when given. Opening reads the
+    /// store's segments; the directory and the first segment are
     /// created lazily on first insert.
     pub fn new(mem_capacity: usize, disk: Option<PathBuf>) -> Self {
         Self::with_version(mem_capacity, disk, code_version())
@@ -235,15 +223,13 @@ impl ResultCache {
 
     /// [`ResultCache::new`] under an explicit code-version fingerprint
     /// (tests use this to prove version isolation).
+    // The owned `String` is the long-standing public signature; the
+    // cache keeps only its hash.
+    #[allow(clippy::needless_pass_by_value)]
     pub fn with_version(mem_capacity: usize, disk: Option<PathBuf>, version: String) -> Self {
-        let seq = AtomicU64::new(next_seq(disk.as_deref()));
         ResultCache {
             mem: Mutex::new(Lru { entries: VecDeque::new(), capacity: mem_capacity.max(1) }),
-            disk,
-            disk_cap: None,
-            seq,
-            version,
-            sidecar_scratch: Mutex::new(String::new()),
+            disk: disk.map(|dir| Mutex::new(DiskTier::open(dir, fnv1a64(version.as_bytes())))),
             stats: CacheStats::default(),
         }
     }
@@ -251,29 +237,24 @@ impl ResultCache {
     /// Caps the disk tier at `cap` payload bytes (see the module docs
     /// for the eviction policy); `None` leaves it unbounded.
     pub fn with_disk_cap(mut self, cap: Option<u64>) -> Self {
-        self.disk_cap = cap;
+        if let Some(disk) = self.disk.as_mut() {
+            disk.get_mut().unwrap_or_else(std::sync::PoisonError::into_inner).cap = cap;
+        }
         self
     }
 
-    fn mem(&self) -> std::sync::MutexGuard<'_, Lru> {
-        match self.mem.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
     /// Looks `key` up, coldest tier last. Memory hits are `Arc` clones
-    /// of the framed entry; disk hits are verified against their
-    /// sidecar and promoted into memory (the promotion shares the same
+    /// of the framed entry; disk hits are verified against their index
+    /// entry and promoted into memory (the promotion shares the same
     /// allocation).
     pub fn get(&self, key: u64) -> Option<(FramedPayload, CacheTier)> {
-        if let Some(framed) = self.mem().get(key) {
+        if let Some(framed) = lock(&self.mem).get(key) {
             self.stats.memory_hits.fetch_add(1, Ordering::Relaxed);
             return Some((framed, CacheTier::Memory));
         }
-        if let Some(framed) = self.disk_get(key) {
+        if let Some(framed) = self.disk.as_ref().and_then(|disk| self.disk_get(disk, key)) {
             self.stats.disk_hits.fetch_add(1, Ordering::Relaxed);
-            self.mem().insert(key, framed.clone());
+            lock(&self.mem).insert(key, framed.clone());
             return Some((framed, CacheTier::Disk));
         }
         self.stats.misses.fetch_add(1, Ordering::Relaxed);
@@ -287,147 +268,348 @@ impl ResultCache {
     /// that filled it.
     pub fn insert(&self, key: u64, payload: &[u8]) -> FramedPayload {
         let framed = FramedPayload::frame(payload);
-        self.mem().insert(key, framed.clone());
-        if self.disk.is_some() {
-            let _ = self.disk_insert(key, payload);
+        lock(&self.mem).insert(key, framed.clone());
+        if let Some(disk) = &self.disk {
+            let mut tier = lock(disk);
+            if tier.append(key, payload).is_ok() {
+                let evicted = tier.evict();
+                self.stats.evicted.fetch_add(evicted, Ordering::Relaxed);
+            }
         }
         framed
     }
 
-    fn disk_get(&self, key: u64) -> Option<FramedPayload> {
-        let dir = self.disk.as_deref()?;
-        let stem = key_hex(key);
-        let sidecar = dir.join(format!("{stem}.json"));
-        let bin = dir.join(format!("{stem}.bin"));
-        // A missing/unreadable sidecar is a plain miss (nothing there);
-        // everything past this point failing means a *present* entry is
-        // bad, which counts as corrupt and removes it.
-        let meta: Option<DiskMeta> = {
-            let mut scratch = match self.sidecar_scratch.lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            scratch.clear();
-            fs::File::open(&sidecar).ok()?.read_to_string(&mut scratch).ok()?;
-            serde_json::from_str(&scratch).ok()
+    fn disk_get(&self, disk: &Mutex<DiskTier>, key: u64) -> Option<FramedPayload> {
+        // The read runs outside the lock: the segment handle is shared,
+        // and a positioned read needs no cursor.
+        let (slot, file) = {
+            let tier = lock(disk);
+            let slot = *tier.index.get(&key)?;
+            (slot, Arc::clone(&tier.segments.get(&slot.segment)?.file))
         };
-        let verified = meta.and_then(|meta| {
-            if meta.key != stem || meta.code_version != self.version {
-                return None;
-            }
-            // Bound the framed allocation by the real file size before
-            // trusting the sidecar's length claim.
-            if fs::metadata(&bin).ok()?.len() != meta.len as u64 {
-                return None;
-            }
-            // Stream the payload straight into its final framed slot:
-            // one exact-size allocation for `,"payload":<bytes>}\n`, no
-            // intermediate payload `Vec`.
-            let mut framed = Vec::with_capacity(
-                FramedPayload::PREFIX.len() + meta.len + FramedPayload::SUFFIX.len(),
-            );
-            framed.extend_from_slice(FramedPayload::PREFIX);
-            let read = fs::File::open(&bin)
-                .ok()?
-                .take(meta.len as u64 + 1)
-                .read_to_end(&mut framed)
-                .ok()?;
-            if read != meta.len {
-                return None;
-            }
-            if content_hash(&framed[FramedPayload::PREFIX.len()..]) != meta.payload_hash {
-                return None;
-            }
-            framed.extend_from_slice(FramedPayload::SUFFIX);
-            Some(FramedPayload::from_framed(framed))
-        });
+        let verified = read_record(&file, slot);
         if verified.is_none() {
-            // Corrupt or foreign-version entry: drop it so the slot can
-            // be refilled by a fresh run.
+            // Corrupt or foreign-version record: drop it from the index
+            // so the slot can be refilled by a fresh run (unless an
+            // insert already replaced it).
             self.stats.corrupt.fetch_add(1, Ordering::Relaxed);
-            let _ = fs::remove_file(&sidecar);
-            let _ = fs::remove_file(&bin);
+            let mut tier = lock(disk);
+            if tier.index.get(&key) == Some(&slot) {
+                tier.index.remove(&key);
+            }
         }
         verified
     }
+}
 
-    fn disk_insert(&self, key: u64, payload: &[u8]) -> io::Result<()> {
-        let dir = self.disk.as_deref().expect("checked by caller");
-        fs::create_dir_all(dir)?;
-        let stem = key_hex(key);
-        let meta = DiskMeta {
-            key: stem.clone(),
-            len: payload.len(),
-            payload_hash: content_hash(payload),
-            code_version: self.version.clone(),
-            seq: self.seq.fetch_add(1, Ordering::Relaxed),
+/// Leading bytes of every record.
+const RECORD_MAGIC: [u8; 8] = *b"SSVCACH1";
+
+/// Record header length: magic, key, payload length, payload hash,
+/// code-version hash.
+const HEADER_LEN: usize = 40;
+
+/// File extension of segment files.
+const SEGMENT_EXT: &str = "seg";
+
+/// The fixed header in front of every record's payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RecordHeader {
+    key: u64,
+    len: u64,
+    payload_hash: u64,
+    version_hash: u64,
+}
+
+impl RecordHeader {
+    fn encode(&self) -> [u8; HEADER_LEN] {
+        let mut bytes = [0u8; HEADER_LEN];
+        bytes[..8].copy_from_slice(&RECORD_MAGIC);
+        for (i, field) in
+            [self.key, self.len, self.payload_hash, self.version_hash].iter().enumerate()
+        {
+            bytes[8 + 8 * i..16 + 8 * i].copy_from_slice(&field.to_le_bytes());
+        }
+        bytes
+    }
+
+    /// The header in `bytes`, or `None` when the magic is missing (a
+    /// torn or foreign tail).
+    fn decode(bytes: &[u8; HEADER_LEN]) -> Option<Self> {
+        if bytes[..8] != RECORD_MAGIC {
+            return None;
+        }
+        let field = |i: usize| {
+            u64::from_le_bytes(bytes[8 + 8 * i..16 + 8 * i].try_into().expect("8-byte field"))
         };
-        let json = serde_json::to_string_pretty(&meta)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        // Payload first, sidecar last: a reader that sees the sidecar is
-        // guaranteed a complete payload; a crash in between leaves an
-        // unreferenced payload file, not a torn entry.
-        write_atomic(dir, &format!("{stem}.bin"), payload)?;
-        write_atomic(dir, &format!("{stem}.json"), json.as_bytes())?;
-        self.evict(dir);
+        Some(RecordHeader {
+            key: field(0),
+            len: field(1),
+            payload_hash: field(2),
+            version_hash: field(3),
+        })
+    }
+}
+
+/// Where the newest record of a key lives: fixed-size, no heap
+/// allocation per entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Slot {
+    /// Offset of the payload (just past the header) in its segment.
+    offset: u64,
+    /// fnv1a64 of the payload, from the record header.
+    payload_hash: u64,
+    /// Payload length.
+    len: u32,
+    /// Segment number.
+    segment: u32,
+    /// Whether the record was written under this cache's code version;
+    /// a foreign-version record is indexed (so its lookup is counted as
+    /// corrupt and dropped) but never served.
+    current: bool,
+}
+
+/// One segment file: a handle kept open for positioned reads (and, for
+/// the segment this process appends to, for appends).
+#[derive(Debug)]
+struct Segment {
+    file: Arc<File>,
+    /// Payload bytes of the records indexed from or appended to it.
+    payload_bytes: u64,
+}
+
+/// The disk tier: segment files plus the index over them.
+#[derive(Debug)]
+struct DiskTier {
+    dir: PathBuf,
+    /// fnv1a64 of the code-version fingerprint records are written
+    /// under and must carry to be served.
+    version_hash: u64,
+    cap: Option<u64>,
+    index: HashMap<u64, Slot>,
+    segments: BTreeMap<u32, Segment>,
+    /// Payload bytes over all segments.
+    payload_bytes: u64,
+    /// The segment this process appends to and its length; `None`
+    /// before the first insert, after a roll and after a failed write.
+    active: Option<(u32, u64)>,
+    /// The number the next created segment tries first.
+    next_segment: u32,
+    /// Reusable header-plus-payload buffer, so an insert is one write.
+    record: Vec<u8>,
+}
+
+impl DiskTier {
+    /// Opens the store at `dir`: one `read_dir` (a missing directory is
+    /// an empty store) and a header scan of every segment. Creates
+    /// nothing.
+    fn open(dir: PathBuf, version_hash: u64) -> Self {
+        let mut tier = DiskTier {
+            dir,
+            version_hash,
+            cap: None,
+            index: HashMap::new(),
+            segments: BTreeMap::new(),
+            payload_bytes: 0,
+            active: None,
+            next_segment: 0,
+            record: Vec::new(),
+        };
+        let mut numbers: Vec<u32> = match fs::read_dir(&tier.dir) {
+            Ok(entries) => {
+                entries.flatten().filter_map(|entry| segment_number(&entry.path())).collect()
+            }
+            Err(_) => Vec::new(),
+        };
+        numbers.sort_unstable();
+        for number in numbers {
+            tier.next_segment = number.saturating_add(1);
+            if let Ok(file) = File::open(tier.segment_path(number)) {
+                let payload_bytes = tier.scan(number, &file);
+                tier.payload_bytes += payload_bytes;
+                tier.segments.insert(number, Segment { file: Arc::new(file), payload_bytes });
+            }
+        }
+        tier
+    }
+
+    fn segment_path(&self, number: u32) -> PathBuf {
+        self.dir.join(format!("{number:08}.{SEGMENT_EXT}"))
+    }
+
+    /// Indexes the records of segment `number`, stopping at the first
+    /// short or torn one (or a read error). Returns the indexed payload
+    /// bytes.
+    fn scan(&mut self, number: u32, file: &File) -> u64 {
+        let Ok(metadata) = file.metadata() else { return 0 };
+        let file_len = metadata.len();
+        let mut reader = BufReader::new(file);
+        let mut header = [0u8; HEADER_LEN];
+        let (mut offset, mut payload_bytes) = (0u64, 0u64);
+        while offset + HEADER_LEN as u64 <= file_len {
+            if reader.read_exact(&mut header).is_err() {
+                break;
+            }
+            let Some(record) = RecordHeader::decode(&header) else { break };
+            let Ok(len) = u32::try_from(record.len) else { break };
+            let payload_at = offset + HEADER_LEN as u64;
+            if payload_at + u64::from(len) > file_len
+                || reader.seek_relative(i64::from(len)).is_err()
+            {
+                break;
+            }
+            self.index.insert(
+                record.key,
+                Slot {
+                    offset: payload_at,
+                    payload_hash: record.payload_hash,
+                    len,
+                    segment: number,
+                    current: record.version_hash == self.version_hash,
+                },
+            );
+            payload_bytes += u64::from(len);
+            offset = payload_at + u64::from(len);
+        }
+        payload_bytes
+    }
+
+    /// Appends one record and indexes it once the write has returned.
+    fn append(&mut self, key: u64, payload: &[u8]) -> io::Result<()> {
+        let len = u32::try_from(payload.len())
+            .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "payload over 4 GiB"))?;
+        if let (Some(cap), Some((number, _))) = (self.cap, self.active) {
+            if self.segments[&number].payload_bytes >= cap / 4 {
+                self.active = None;
+            }
+        }
+        let (number, end) = match self.active {
+            Some(active) => active,
+            None => self.create_segment()?,
+        };
+        let payload_hash = fnv1a64(payload);
+        let header = RecordHeader {
+            key,
+            len: u64::from(len),
+            payload_hash,
+            version_hash: self.version_hash,
+        };
+        self.record.clear();
+        self.record.extend_from_slice(&header.encode());
+        self.record.extend_from_slice(payload);
+        let segment = self.segments.get_mut(&number).expect("the active segment is open");
+        if let Err(e) = (&*segment.file).write_all(&self.record) {
+            // The segment may now end in a torn record; later appends
+            // behind it would be unreachable to the next open's scan.
+            self.active = None;
+            return Err(e);
+        }
+        segment.payload_bytes += u64::from(len);
+        self.payload_bytes += u64::from(len);
+        let offset = end + HEADER_LEN as u64;
+        self.active = Some((number, offset + u64::from(len)));
+        self.index.insert(key, Slot { offset, payload_hash, len, segment: number, current: true });
         Ok(())
     }
 
-    /// Enforces the disk byte cap: removes whole entries oldest-first
-    /// until the payload bytes fit, always keeping the newest entry.
-    /// Sidecar first, then payload — an interrupted eviction leaves an
-    /// unreferenced payload file, never a served-but-missing one.
-    fn evict(&self, dir: &Path) {
-        let Some(cap) = self.disk_cap else { return };
-        let mut entries = sidecar_metas(dir);
-        let mut total: u64 = entries.iter().map(|(_, _, len)| len).sum();
-        // Oldest sequence first; the stem breaks pre-cap-era ties
-        // deterministically.
-        entries.sort();
-        let mut oldest = entries.into_iter().peekable();
-        while total > cap {
-            let Some((_, stem, len)) = oldest.next() else { break };
-            if oldest.peek().is_none() {
-                break; // never evict the entry just written
+    /// Creates this process's next segment, skipping numbers that are
+    /// already taken, and makes it the active one.
+    fn create_segment(&mut self) -> io::Result<(u32, u64)> {
+        fs::create_dir_all(&self.dir)?;
+        loop {
+            let number = self.next_segment;
+            self.next_segment = number
+                .checked_add(1)
+                .ok_or_else(|| io::Error::other("segment numbers exhausted"))?;
+            let created = OpenOptions::new()
+                .read(true)
+                .append(true)
+                .create_new(true)
+                .open(self.segment_path(number));
+            match created {
+                Ok(file) => {
+                    self.segments
+                        .insert(number, Segment { file: Arc::new(file), payload_bytes: 0 });
+                    self.active = Some((number, 0));
+                    return Ok((number, 0));
+                }
+                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {}
+                Err(e) => return Err(e),
             }
-            let _ = fs::remove_file(dir.join(format!("{stem}.json")));
-            let _ = fs::remove_file(dir.join(format!("{stem}.bin")));
-            self.stats.evicted.fetch_add(1, Ordering::Relaxed);
-            total = total.saturating_sub(len);
         }
+    }
+
+    /// Enforces the byte cap: deletes whole segments oldest-first while
+    /// the payload bytes exceed it, never the active segment. Returns the
+    /// number of index entries dropped.
+    fn evict(&mut self) -> u64 {
+        let Some(cap) = self.cap else { return 0 };
+        let active = self.active.map(|(number, _)| number);
+        let mut dropped = 0;
+        while self.payload_bytes > cap {
+            let Some((&oldest, _)) = self.segments.first_key_value() else { break };
+            if Some(oldest) == active {
+                break;
+            }
+            let segment = self.segments.remove(&oldest).expect("first key is present");
+            self.payload_bytes -= segment.payload_bytes;
+            let before = self.index.len();
+            self.index.retain(|_, slot| slot.segment != oldest);
+            dropped += (before - self.index.len()) as u64;
+            let _ = fs::remove_file(self.segment_path(oldest));
+        }
+        dropped
     }
 }
 
-/// All parseable sidecars in `dir` as `(seq, stem, payload_len)`.
-/// Unparsable sidecars are skipped (the verified read path removes
-/// them); orphan payload files are ignored — a payload without a
-/// sidecar is also the transient state of an in-flight insert, so
-/// sweeping them here would race the writer.
-fn sidecar_metas(dir: &Path) -> Vec<(u64, String, u64)> {
-    let Ok(read) = fs::read_dir(dir) else { return Vec::new() };
-    read.flatten()
-        .filter_map(|entry| {
-            let path = entry.path();
-            if path.extension().and_then(|e| e.to_str()) != Some("json") {
-                return None;
+/// The segment number of `path` when it names a segment file.
+fn segment_number(path: &Path) -> Option<u32> {
+    if path.extension()? != SEGMENT_EXT {
+        return None;
+    }
+    path.file_stem()?.to_str()?.parse().ok()
+}
+
+/// Reads and verifies the record `slot` points at, streaming the
+/// payload straight into its final framed allocation: one exact-size
+/// allocation for `,"payload":<bytes>}\n`, no intermediate payload `Vec`.
+fn read_record(file: &File, slot: Slot) -> Option<FramedPayload> {
+    if !slot.current {
+        return None;
+    }
+    let len = slot.len as usize;
+    let start = FramedPayload::PREFIX.len();
+    let mut framed = Vec::with_capacity(start + len + FramedPayload::SUFFIX.len());
+    framed.extend_from_slice(FramedPayload::PREFIX);
+    framed.resize(start + len, 0);
+    read_exact_at(file, &mut framed[start..], slot.offset).ok()?;
+    if fnv1a64(&framed[start..]) != slot.payload_hash {
+        return None;
+    }
+    framed.extend_from_slice(FramedPayload::SUFFIX);
+    Some(FramedPayload::from_framed(framed))
+}
+
+#[cfg(unix)]
+fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
+    std::os::unix::fs::FileExt::read_exact_at(file, buf, offset)
+}
+
+#[cfg(windows)]
+fn read_exact_at(file: &File, mut buf: &mut [u8], mut offset: u64) -> io::Result<()> {
+    use std::os::windows::fs::FileExt;
+    while !buf.is_empty() {
+        match file.seek_read(buf, offset) {
+            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+            Ok(n) => {
+                buf = &mut buf[n..];
+                offset += n as u64;
             }
-            let meta: DiskMeta = serde_json::from_str(&fs::read_to_string(&path).ok()?).ok()?;
-            Some((meta.seq, meta.key, meta.len as u64))
-        })
-        .collect()
-}
-
-/// The first unused insertion sequence of an existing store (0 for a
-/// missing or empty directory).
-fn next_seq(dir: Option<&Path>) -> u64 {
-    let Some(dir) = dir else { return 0 };
-    sidecar_metas(dir).into_iter().map(|(seq, _, _)| seq).max().map_or(0, |max| max + 1)
-}
-
-fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> io::Result<()> {
-    let tmp = dir.join(format!("{name}.tmp"));
-    fs::write(&tmp, bytes)?;
-    fs::rename(&tmp, dir.join(name))
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -445,6 +627,25 @@ mod tests {
     /// Unframes a lookup back to `(raw payload, tier)` for assertions.
     fn raw_get(cache: &ResultCache, key: u64) -> Option<(Vec<u8>, CacheTier)> {
         cache.get(key).map(|(framed, tier)| (framed.payload().to_vec(), tier))
+    }
+
+    /// The segment files in `dir`, oldest first.
+    fn segment_files(dir: &Path) -> Vec<PathBuf> {
+        let mut files: Vec<PathBuf> = fs::read_dir(dir)
+            .map(|entries| entries.flatten().map(|entry| entry.path()).collect())
+            .unwrap_or_default();
+        files.retain(|path| segment_number(path).is_some());
+        files.sort();
+        files
+    }
+
+    /// Overwrites bytes at `offset` of the one segment in `dir`.
+    fn tamper_segment(dir: &Path, offset: u64, bytes: &[u8]) {
+        let [segment] = &segment_files(dir)[..] else { panic!("one segment expected") };
+        let mut contents = fs::read(segment).unwrap();
+        let at = offset as usize;
+        contents[at..at + bytes.len()].copy_from_slice(bytes);
+        fs::write(segment, contents).unwrap();
     }
 
     #[test]
@@ -504,10 +705,13 @@ mod tests {
         cache.insert(7, b"payload");
         // Evict from memory so the next get must go to disk.
         cache.insert(8, b"other");
-        fs::write(dir.join(format!("{}.bin", key_hex(7))), b"tampered").unwrap();
+        // Record 7 opens the segment; overwrite its payload.
+        tamper_segment(&dir, HEADER_LEN as u64, b"tamperd");
         assert_eq!(raw_get(&cache, 7), None);
         assert_eq!(cache.stats.corrupt.load(Ordering::Relaxed), 1);
-        assert!(!dir.join(format!("{}.json", key_hex(7))).exists());
+        // Removed from the index: the next lookup is a plain miss.
+        assert_eq!(raw_get(&cache, 7), None);
+        assert_eq!(cache.stats.corrupt.load(Ordering::Relaxed), 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -517,8 +721,14 @@ mod tests {
         let cache = ResultCache::new(1, Some(dir.clone()));
         cache.insert(7, b"payload");
         cache.insert(8, b"other");
-        // Same length claim in the sidecar, shorter file on disk.
-        fs::write(dir.join(format!("{}.bin", key_hex(7))), b"pay").unwrap();
+        // Same length claim in the index, shorter file on disk.
+        let [segment] = &segment_files(&dir)[..] else { panic!("one segment expected") };
+        OpenOptions::new()
+            .write(true)
+            .open(segment)
+            .unwrap()
+            .set_len(HEADER_LEN as u64 + 3)
+            .unwrap();
         assert_eq!(raw_get(&cache, 7), None);
         assert_eq!(cache.stats.corrupt.load(Ordering::Relaxed), 1);
         fs::remove_dir_all(&dir).unwrap();
@@ -567,8 +777,8 @@ mod tests {
         assert_eq!(cache.stats.evicted.load(Ordering::Relaxed), 2);
         drop(cache);
 
-        // A fresh cache resumes the insertion sequence past the
-        // surviving entry, so the pre-restart entry goes first.
+        // A fresh cache appends to a new segment numbered past the
+        // surviving one, so the pre-restart entry goes first.
         let fresh = ResultCache::new(1, Some(dir.clone())).with_disk_cap(Some(40));
         assert_eq!(raw_get(&fresh, 9), Some(([9u8; 100].to_vec(), CacheTier::Disk)));
         fresh.insert(10, &[10u8; 16]);
@@ -577,6 +787,247 @@ mod tests {
         // memory tier, so it is gone entirely.
         assert_eq!(raw_get(&fresh, 9), None);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn torn_tail_loses_only_the_last_record() {
+        let dir = temp_dir();
+        let cache = ResultCache::new(1, Some(dir.clone()));
+        cache.insert(1, b"first");
+        cache.insert(2, b"second");
+        cache.insert(3, b"third");
+        drop(cache);
+        // A crash mid-append: the last record is cut short. Its payload
+        // now runs past the end of the file, so the scan stops there.
+        let [segment] = &segment_files(&dir)[..] else { panic!("one segment expected") };
+        let file = OpenOptions::new().append(true).open(segment).unwrap();
+        file.set_len(file.metadata().unwrap().len() - 2).unwrap();
+        let reopened = ResultCache::new(1, Some(dir.clone()));
+        assert_eq!(raw_get(&reopened, 3), None);
+        assert_eq!(reopened.stats.corrupt.load(Ordering::Relaxed), 0, "never indexed");
+        drop(reopened);
+
+        // Garbage after the cut makes the torn record's length fit
+        // again; the hash check rejects it on lookup.
+        (&file).write_all(b"\0garbage").unwrap();
+        let torn_len = file.metadata().unwrap().len();
+        drop(file);
+        let reopened = ResultCache::new(1, Some(dir.clone()));
+        assert_eq!(raw_get(&reopened, 1), Some((b"first".to_vec(), CacheTier::Disk)));
+        assert_eq!(raw_get(&reopened, 2), Some((b"second".to_vec(), CacheTier::Disk)));
+        assert_eq!(raw_get(&reopened, 3), None);
+        assert_eq!(reopened.stats.corrupt.load(Ordering::Relaxed), 1);
+        // Later inserts never land behind the torn record.
+        reopened.insert(4, b"fourth");
+        let segments = segment_files(&dir);
+        assert_eq!(segments.len(), 2);
+        assert_eq!(fs::metadata(&segments[0]).unwrap().len(), torn_len);
+        drop(reopened);
+        let again = ResultCache::new(1, Some(dir.clone()));
+        assert_eq!(raw_get(&again, 4), Some((b"fourth".to_vec(), CacheTier::Disk)));
+        assert_eq!(raw_get(&again, 2), Some((b"second".to_vec(), CacheTier::Disk)));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn flipped_payload_byte_is_a_corrupt_miss() {
+        let dir = temp_dir();
+        let cache = ResultCache::new(1, Some(dir.clone()));
+        cache.insert(7, b"payload");
+        cache.insert(8, b"other");
+        let [segment] = &segment_files(&dir)[..] else { panic!("one segment expected") };
+        let mut bytes = fs::read(segment).unwrap();
+        bytes[HEADER_LEN + 2] ^= 0x01;
+        fs::write(segment, &bytes).unwrap();
+        assert_eq!(raw_get(&cache, 7), None);
+        assert_eq!(cache.stats.corrupt.load(Ordering::Relaxed), 1);
+        assert_eq!(cache.stats.misses.load(Ordering::Relaxed), 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn opening_creates_nothing_and_restarts_resume_the_numbering() {
+        let dir = temp_dir();
+        let idle = ResultCache::new(4, Some(dir.clone()));
+        assert_eq!(raw_get(&idle, 1), None);
+        assert!(!dir.exists(), "no directory before the first insert");
+        idle.insert(1, b"one");
+        drop(idle);
+        for key in 2..4 {
+            let cache = ResultCache::new(4, Some(dir.clone()));
+            cache.insert(key, b"more");
+        }
+        // A process that only reads makes no segment.
+        drop(ResultCache::new(4, Some(dir.clone())));
+        let names: Vec<_> =
+            segment_files(&dir).iter().map(|p| p.file_name().unwrap().to_owned()).collect();
+        assert_eq!(names, ["00000000.seg", "00000001.seg", "00000002.seg"]);
+        // Files of the earlier file-per-entry layout are ignored.
+        fs::write(dir.join(format!("{:016x}.bin", 9)), b"old").unwrap();
+        let cache = ResultCache::new(4, Some(dir.clone()));
+        assert_eq!(raw_get(&cache, 9), None);
+        assert_eq!(raw_get(&cache, 1), Some((b"one".to_vec(), CacheTier::Disk)));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// One step of the disk-tier model check.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Insert(u64, Vec<u8>),
+        /// Drop and reopen the cache.
+        Restart,
+        /// Crash: cut this many bytes off the newest segment, append
+        /// garbage when set, reopen.
+        Truncate(u64, bool),
+        /// Crash: flip a payload byte of the `n % count`-th intact
+        /// record, reopen.
+        Flip(usize),
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        let insert = || {
+            (0u64..5, prop::collection::vec(any::<u8>(), 0..24)).prop_map(|(k, v)| Op::Insert(k, v))
+        };
+        prop_oneof![
+            insert(),
+            insert(),
+            Just(Op::Restart),
+            (0u64..80, any::<bool>()).prop_map(|(n, garbage)| Op::Truncate(n, garbage)),
+            (0usize..64).prop_map(Op::Flip),
+        ]
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum RecordState {
+        Intact,
+        /// A payload byte was flipped.
+        Tampered,
+        /// Cut by a truncation: the scan either stops at it or, when
+        /// later bytes make its length fit, indexes it for the hash
+        /// check to reject.
+        Torn,
+    }
+
+    /// A record as the model knows it.
+    struct ModelRecord {
+        key: u64,
+        bytes: Vec<u8>,
+        end: u64,
+        state: RecordState,
+    }
+
+    /// What a reopened cache may serve per key: the newest intact
+    /// record's bytes, nothing if that record was tampered with, and
+    /// behind a torn record either the older answer or nothing. (A torn
+    /// record that passes the hash check holds exactly its inserted
+    /// bytes, so those are allowed too.)
+    fn reopened_view(segments: &[(Vec<ModelRecord>, u64)]) -> HashMap<u64, Vec<Option<Vec<u8>>>> {
+        let mut view: HashMap<u64, Vec<Option<Vec<u8>>>> = HashMap::new();
+        for record in segments.iter().flat_map(|(records, _)| records) {
+            let allowed = match record.state {
+                RecordState::Intact => vec![Some(record.bytes.clone())],
+                RecordState::Tampered => vec![None],
+                RecordState::Torn => {
+                    let mut allowed = view.remove(&record.key).unwrap_or_else(|| vec![None]);
+                    allowed.extend([None, Some(record.bytes.clone())]);
+                    allowed
+                }
+            };
+            view.insert(record.key, allowed);
+        }
+        view
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random inserts, restarts, torn tails and flipped bytes
+        /// against a model of the log: every hit is the last bytes
+        /// inserted for its key that survive on disk, and nothing torn
+        /// or tampered is ever served.
+        #[test]
+        fn disk_tier_matches_a_model_under_crashes(ops in prop::collection::vec(op(), 1..40)) {
+            let dir = temp_dir();
+            let open = || ResultCache::new(2, Some(dir.clone()));
+            let mut cache = Some(open());
+            // Per segment: its records and its file length.
+            let mut segments: Vec<(Vec<ModelRecord>, u64)> = Vec::new();
+            let mut appending = false;
+            let mut allowed: HashMap<u64, Vec<Option<Vec<u8>>>> = HashMap::new();
+            for op in ops {
+                if !matches!(op, Op::Insert(..)) {
+                    // Every other step ends the process.
+                    drop(cache.take());
+                    appending = false;
+                }
+                match op {
+                    Op::Insert(key, bytes) => {
+                        cache.as_ref().unwrap().insert(key, &bytes);
+                        if !appending {
+                            segments.push((Vec::new(), 0));
+                            appending = true;
+                        }
+                        let (records, len) = segments.last_mut().unwrap();
+                        *len += (HEADER_LEN + bytes.len()) as u64;
+                        allowed.insert(key, vec![Some(bytes.clone())]);
+                        let state = RecordState::Intact;
+                        records.push(ModelRecord { key, bytes, end: *len, state });
+                    }
+                    Op::Restart => {}
+                    Op::Truncate(cut, garbage) => {
+                        if let (Some((records, len)), Some(path)) =
+                            (segments.last_mut(), segment_files(&dir).last())
+                        {
+                            let file = OpenOptions::new().append(true).open(path).unwrap();
+                            prop_assert_eq!(file.metadata().unwrap().len(), *len);
+                            *len = len.saturating_sub(cut);
+                            file.set_len(*len).unwrap();
+                            records.retain(|r| r.end < *len + (HEADER_LEN + r.bytes.len()) as u64);
+                            for record in records.iter_mut().filter(|r| r.end > *len) {
+                                record.state = RecordState::Torn;
+                            }
+                            if garbage {
+                                (&file).write_all(b"torn").unwrap();
+                                *len += 4;
+                            }
+                        }
+                    }
+                    Op::Flip(n) => {
+                        let files = segment_files(&dir);
+                        let mut targets: Vec<(usize, &mut ModelRecord)> = segments
+                            .iter_mut()
+                            .enumerate()
+                            .flat_map(|(i, (records, _))| records.iter_mut().map(move |r| (i, r)))
+                            .filter(|(_, r)| !r.bytes.is_empty() && r.state == RecordState::Intact)
+                            .collect();
+                        if !targets.is_empty() {
+                            let count = targets.len();
+                            let (segment, record) = &mut targets[n % count];
+                            let mut bytes = fs::read(&files[*segment]).unwrap();
+                            bytes[record.end as usize - 1] ^= 0x80;
+                            fs::write(&files[*segment], bytes).unwrap();
+                            record.state = RecordState::Tampered;
+                        }
+                    }
+                }
+                if cache.is_none() {
+                    cache = Some(open());
+                    allowed = reopened_view(&segments);
+                }
+                let cache = cache.as_ref().unwrap();
+                for key in 0..5 {
+                    let got = raw_get(cache, key).map(|(bytes, _)| bytes);
+                    let options = allowed.remove(&key).unwrap_or_else(|| vec![None]);
+                    prop_assert!(options.contains(&got), "key {key}: {got:?} not in {options:?}");
+                    // A lookup settles the answer until the next insert.
+                    allowed.insert(key, vec![got]);
+                }
+            }
+            drop(cache);
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

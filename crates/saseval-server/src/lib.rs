@@ -15,8 +15,9 @@
 //!   never be served across code changes.
 //! * [`cache`] — a two-tier content-addressed store
 //!   ([`cache::ResultCache`]): in-memory LRU in front of an optional
-//!   verified on-disk tier with atomic (temp + rename) writes and an
-//!   optional byte cap evicting whole entries oldest-first. Memory
+//!   verified on-disk tier (append-only segment files behind an
+//!   in-memory index) and an optional byte cap evicting whole segments
+//!   oldest-first. Memory
 //!   entries are pre-framed done-frame tails ([`cache::FramedPayload`],
 //!   shared `Arc<[u8]>` allocations), so a cached response is spliced
 //!   into the socket without copying the payload.

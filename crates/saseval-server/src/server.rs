@@ -51,9 +51,9 @@
 //! new connections, lets in-flight jobs finish, flushes every response
 //! and joins the workers. The workspace forbids `unsafe`, so no signal
 //! handler can be installed: SIGTERM/ctrl-c terminate the process
-//! directly, which is safe by construction — cache writes are
-//! temp-file-plus-rename, so an interrupted server leaves no torn
-//! state behind.
+//! directly, which is safe by construction — the disk tier is an
+//! append-only segment log whose open-time scan stops at a torn tail,
+//! so an interrupted server loses at most the record it was writing.
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
@@ -83,8 +83,8 @@ pub struct ServerConfig {
     pub mem_capacity: usize,
     /// On-disk cache directory; `None` disables the disk tier.
     pub cache_dir: Option<PathBuf>,
-    /// Byte cap on the disk tier's payload bytes; entries are evicted
-    /// oldest-first past it. `None` leaves the tier unbounded.
+    /// Byte cap on the disk tier's payload bytes; whole segments are
+    /// evicted oldest-first past it. `None` leaves the tier unbounded.
     pub cache_cap_bytes: Option<u64>,
 }
 

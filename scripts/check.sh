@@ -104,6 +104,10 @@ done
 kill -TERM "$SERVER_PID"
 wait "$SERVER_PID" && SERVER_STATUS=0 || SERVER_STATUS=$?
 test "$SERVER_STATUS" -ne 0  # killed by signal, not a clean 0
+# Simulate a crash mid-append: garbage after the newest segment's last
+# record. The restart's scan must stop there and keep every earlier record.
+SERVER_NEWEST="$(ls -t "$SERVER_CACHE" | head -n 1)"
+printf 'torn\0tail' >> "$SERVER_CACHE/$SERVER_NEWEST"
 # The on-disk tier survives the kill: a fresh server serves the cached job.
 "$SERVER_BIN" serve --addr "$SERVER_ADDR" --cache-dir "$SERVER_CACHE" &
 SERVER_PID=$!
@@ -117,7 +121,7 @@ cmp "$SERVER_OUT/first.json" "$SERVER_OUT/third.json"
 wait "$SERVER_PID"
 trap - EXIT
 rm -rf "$SERVER_CACHE" "$SERVER_OUT"
-echo "    disk cache survived SIGTERM; payload still byte-identical"
+echo "    disk cache survived SIGTERM and a torn tail; payload still byte-identical"
 
 echo "==> campaign server floor: cached-memory latency within 3x of committed BENCH_server.json"
 cargo run -q --release -p saseval-bench --bin repro_tables -- --server-floor BENCH_server.json
