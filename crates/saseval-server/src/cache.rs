@@ -27,7 +27,7 @@
 //!          | code-version fnv1a64 (8) | payload bytes
 //! ```
 //!
-//! An insert is one `write_all` of header plus payload to the segment
+//! An insert is one vectored write of header plus payload to the segment
 //! this process appends to; the index (`key → segment, offset, length,
 //! payload hash`) is updated only after the write returns. A process
 //! never appends to a segment it did not create: it creates its first
@@ -60,7 +60,7 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, BufReader, Read, Write};
+use std::io::{self, BufReader, IoSlice, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -395,8 +395,6 @@ struct DiskTier {
     active: Option<(u32, u64)>,
     /// The number the next created segment tries first.
     next_segment: u32,
-    /// Reusable header-plus-payload buffer, so an insert is one write.
-    record: Vec<u8>,
 }
 
 impl DiskTier {
@@ -413,7 +411,6 @@ impl DiskTier {
             payload_bytes: 0,
             active: None,
             next_segment: 0,
-            record: Vec::new(),
         };
         let mut numbers: Vec<u32> = match fs::read_dir(&tier.dir) {
             Ok(entries) => {
@@ -494,11 +491,8 @@ impl DiskTier {
             payload_hash,
             version_hash: self.version_hash,
         };
-        self.record.clear();
-        self.record.extend_from_slice(&header.encode());
-        self.record.extend_from_slice(payload);
         let segment = self.segments.get_mut(&number).expect("the active segment is open");
-        if let Err(e) = (&*segment.file).write_all(&self.record) {
+        if let Err(e) = write_record(&segment.file, &header.encode(), payload) {
             // The segment may now end in a torn record; later appends
             // behind it would be unreachable to the next open's scan.
             self.active = None;
@@ -560,6 +554,14 @@ impl DiskTier {
         }
         dropped
     }
+}
+
+/// Writes `header` then `payload` with one vectored write, finishing
+/// the rare short write with plain ones. No copy of the payload is made.
+fn write_record(mut file: &File, header: &[u8], payload: &[u8]) -> io::Result<()> {
+    let written = file.write_vectored(&[IoSlice::new(header), IoSlice::new(payload)])?;
+    file.write_all(header.get(written..).unwrap_or_default())?;
+    file.write_all(&payload[written.saturating_sub(header.len())..])
 }
 
 /// The segment number of `path` when it names a segment file.
