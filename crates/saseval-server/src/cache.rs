@@ -28,8 +28,8 @@
 //! ```
 //!
 //! An insert is one vectored write of header plus payload to the segment
-//! this process appends to; the index (`key → segment, offset, length,
-//! payload hash`) is updated only after the write returns. A process
+//! this process appends to; the index (`key → segment, offset, length`)
+//! is updated only after the write returns. A process
 //! never appends to a segment it did not create: it creates its first
 //! segment on its first insert (`create_new`, skipping numbers another
 //! process took), so opening a cache creates nothing.
@@ -42,13 +42,15 @@
 //! being written and never an earlier one.
 //!
 //! A lookup that misses the index costs no syscall. A hit is one
-//! positioned read on the segment's kept-open handle, streamed straight
-//! into the final framed allocation, then verified against the indexed
-//! length, payload hash and code version. Any mismatch is treated as a
-//! miss and drops the index entry (counted under [`CacheStats::corrupt`]),
-//! so a corrupted store degrades to recomputation instead of serving bad
-//! bytes. Files other than segments (such as the `<key>.bin`/`<key>.json`
-//! pairs of the earlier file-per-entry layout) are ignored.
+//! positioned read of header plus payload on the segment's kept-open
+//! handle, straight into the allocation that becomes the framed entry.
+//! The header must carry the looked-up key, the indexed length, this
+//! cache's code version and the payload's hash. Any mismatch is treated
+//! as a miss and drops the index entry (counted under
+//! [`CacheStats::corrupt`]), so a corrupted store degrades to
+//! recomputation instead of serving bad bytes. Files other than segments
+//! (such as the `<key>.bin`/`<key>.json` pairs of the earlier
+//! file-per-entry layout) are ignored.
 //!
 //! With [`ResultCache::with_disk_cap`], the disk tier bounds its payload
 //! bytes: the segment being appended to rolls over once it holds a
@@ -282,12 +284,12 @@ impl ResultCache {
     fn disk_get(&self, disk: &Mutex<DiskTier>, key: u64) -> Option<FramedPayload> {
         // The read runs outside the lock: the segment handle is shared,
         // and a positioned read needs no cursor.
-        let (slot, file) = {
+        let (slot, file, version_hash) = {
             let tier = lock(disk);
             let slot = *tier.index.get(&key)?;
-            (slot, Arc::clone(&tier.segments.get(&slot.segment)?.file))
+            (slot, Arc::clone(&tier.segments.get(&slot.segment)?.file), tier.version_hash)
         };
-        let verified = read_record(&file, slot);
+        let verified = read_record(&file, slot, key, version_hash);
         if verified.is_none() {
             // Corrupt or foreign-version record: drop it from the index
             // so the slot can be refilled by a fresh run (unless an
@@ -351,22 +353,19 @@ impl RecordHeader {
     }
 }
 
-/// Where the newest record of a key lives: fixed-size, no heap
-/// allocation per entry.
+/// Where the newest record of a key lives: 16 bytes, no heap
+/// allocation per entry. The payload hash and code version stay in the
+/// record header, which a lookup's one read fetches with the payload;
+/// keeping them out of the index keeps a 16 k-entry index near 1 MB
+/// even while its table grows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Slot {
-    /// Offset of the payload (just past the header) in its segment.
+    /// Offset of the record (its header) in its segment.
     offset: u64,
-    /// fnv1a64 of the payload, from the record header.
-    payload_hash: u64,
     /// Payload length.
     len: u32,
     /// Segment number.
     segment: u32,
-    /// Whether the record was written under this cache's code version;
-    /// a foreign-version record is indexed (so its lookup is counted as
-    /// corrupt and dropped) but never served.
-    current: bool,
 }
 
 /// One segment file: a handle kept open for positioned reads (and, for
@@ -455,16 +454,7 @@ impl DiskTier {
             {
                 break;
             }
-            self.index.insert(
-                record.key,
-                Slot {
-                    offset: payload_at,
-                    payload_hash: record.payload_hash,
-                    len,
-                    segment: number,
-                    current: record.version_hash == self.version_hash,
-                },
-            );
+            self.index.insert(record.key, Slot { offset, len, segment: number });
             payload_bytes += u64::from(len);
             offset = payload_at + u64::from(len);
         }
@@ -484,11 +474,10 @@ impl DiskTier {
             Some(active) => active,
             None => self.create_segment()?,
         };
-        let payload_hash = fnv1a64(payload);
         let header = RecordHeader {
             key,
             len: u64::from(len),
-            payload_hash,
+            payload_hash: fnv1a64(payload),
             version_hash: self.version_hash,
         };
         let segment = self.segments.get_mut(&number).expect("the active segment is open");
@@ -500,9 +489,8 @@ impl DiskTier {
         }
         segment.payload_bytes += u64::from(len);
         self.payload_bytes += u64::from(len);
-        let offset = end + HEADER_LEN as u64;
-        self.active = Some((number, offset + u64::from(len)));
-        self.index.insert(key, Slot { offset, payload_hash, len, segment: number, current: true });
+        self.active = Some((number, end + HEADER_LEN as u64 + u64::from(len)));
+        self.index.insert(key, Slot { offset: end, len, segment: number });
         Ok(())
     }
 
@@ -572,22 +560,28 @@ fn segment_number(path: &Path) -> Option<u32> {
     path.file_stem()?.to_str()?.parse().ok()
 }
 
-/// Reads and verifies the record `slot` points at, streaming the
-/// payload straight into its final framed allocation: one exact-size
-/// allocation for `,"payload":<bytes>}\n`, no intermediate payload `Vec`.
-fn read_record(file: &File, slot: Slot) -> Option<FramedPayload> {
-    if !slot.current {
-        return None;
-    }
+/// Reads the record `slot` points at — header and payload in one
+/// positioned read into the allocation that becomes the framed entry —
+/// and verifies the header's magic, key, length, code version and
+/// payload hash. The payload then slides down over the header's place
+/// to sit behind the framing prefix.
+fn read_record(file: &File, slot: Slot, key: u64, version_hash: u64) -> Option<FramedPayload> {
     let len = slot.len as usize;
-    let start = FramedPayload::PREFIX.len();
-    let mut framed = Vec::with_capacity(start + len + FramedPayload::SUFFIX.len());
-    framed.extend_from_slice(FramedPayload::PREFIX);
-    framed.resize(start + len, 0);
-    read_exact_at(file, &mut framed[start..], slot.offset).ok()?;
-    if fnv1a64(&framed[start..]) != slot.payload_hash {
+    let mut framed = Vec::with_capacity(HEADER_LEN + len + FramedPayload::SUFFIX.len());
+    framed.resize(HEADER_LEN + len, 0);
+    read_exact_at(file, &mut framed, slot.offset).ok()?;
+    let header = RecordHeader::decode(framed[..HEADER_LEN].try_into().expect("header-sized"))?;
+    let verified = header.key == key
+        && header.len == u64::from(slot.len)
+        && header.version_hash == version_hash
+        && header.payload_hash == fnv1a64(&framed[HEADER_LEN..]);
+    if !verified {
         return None;
     }
+    let prefix = FramedPayload::PREFIX.len();
+    framed.copy_within(HEADER_LEN.., prefix);
+    framed[..prefix].copy_from_slice(FramedPayload::PREFIX);
+    framed.truncate(prefix + len);
     framed.extend_from_slice(FramedPayload::SUFFIX);
     Some(FramedPayload::from_framed(framed))
 }
