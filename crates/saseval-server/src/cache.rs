@@ -60,7 +60,7 @@
 //! a single payload larger than the cap still caches; the cap is a bound
 //! on steady-state growth, not a hard invariant.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufReader, IoSlice, Read, Write};
 use std::path::{Path, PathBuf};
@@ -354,10 +354,9 @@ impl RecordHeader {
 }
 
 /// Where the newest record of a key lives: 16 bytes, no heap
-/// allocation per entry. The payload hash and code version stay in the
-/// record header, which a lookup's one read fetches with the payload;
-/// keeping them out of the index keeps a 16 k-entry index near 1 MB
-/// even while its table grows.
+/// allocation of its own. The payload hash and code version stay in
+/// the record header, which a lookup's one read fetches with the
+/// payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Slot {
     /// Offset of the record (its header) in its segment.
@@ -385,7 +384,10 @@ struct DiskTier {
     /// under and must carry to be served.
     version_hash: u64,
     cap: Option<u64>,
-    index: HashMap<u64, Slot>,
+    /// A B-tree rather than a hash table: it grows a node at a time, so
+    /// its resident size tracks the entry count (about 0.8 MB at 16 k
+    /// entries) instead of doubling a table and briefly holding both.
+    index: BTreeMap<u64, Slot>,
     segments: BTreeMap<u32, Segment>,
     /// Payload bytes over all segments.
     payload_bytes: u64,
@@ -405,7 +407,7 @@ impl DiskTier {
             dir,
             version_hash,
             cap: None,
-            index: HashMap::new(),
+            index: BTreeMap::new(),
             segments: BTreeMap::new(),
             payload_bytes: 0,
             active: None,
@@ -611,6 +613,7 @@ fn read_exact_at(file: &File, mut buf: &mut [u8], mut offset: u64) -> io::Result
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
     use std::sync::atomic::AtomicUsize;
 
     static DIR_COUNTER: AtomicUsize = AtomicUsize::new(0);
