@@ -29,10 +29,10 @@
 //!
 //! An insert is one vectored write of header plus payload to the segment
 //! this process appends to; the index (`key → segment, offset, length`)
-//! is updated only after the write returns. A process
-//! never appends to a segment it did not create: it creates its first
-//! segment on its first insert (`create_new`, skipping numbers another
-//! process took), so opening a cache creates nothing.
+//! is updated only after the write returns. A process never appends to
+//! a segment it did not create: it creates its first segment on its
+//! first insert (`create_new`, skipping numbers another process took),
+//! so opening a cache creates nothing.
 //!
 //! Opening a cache builds the index by scanning every segment's record
 //! headers in segment order, seeking past payloads; the newest record

@@ -65,10 +65,10 @@ pub const DEFAULT_HORIZON_MS: u64 = 2_000;
 pub const DEFAULT_ATTACK_AT_MS: u64 = 100;
 
 /// Largest shard count a `Fuzz` or `Scenario` job may request. Both
-/// build their per-shard state before packing shards onto at most
-/// `available_parallelism` threads, so an unbounded count is an
-/// unbounded allocation; the server answers a larger request with an
-/// `error` frame before it is keyed, coalesced or queued.
+/// keep one outcome per shard (its coverage map and findings) until the
+/// merge, so an unbounded count is an unbounded allocation; the server
+/// answers a larger request with an `error` frame before it is keyed,
+/// coalesced or queued.
 pub const MAX_SHARDS: usize = 64;
 
 /// Security-control preset deployed in a fuzz scenario's world.
