@@ -389,8 +389,6 @@ struct DiskTier {
     /// entries) instead of doubling a table and briefly holding both.
     index: BTreeMap<u64, Slot>,
     segments: BTreeMap<u32, Segment>,
-    /// Payload bytes over all segments.
-    payload_bytes: u64,
     /// The segment this process appends to and its length; `None`
     /// before the first insert, after a roll and after a failed write.
     active: Option<(u32, u64)>,
@@ -409,7 +407,6 @@ impl DiskTier {
             cap: None,
             index: BTreeMap::new(),
             segments: BTreeMap::new(),
-            payload_bytes: 0,
             active: None,
             next_segment: 0,
         };
@@ -424,7 +421,6 @@ impl DiskTier {
             tier.next_segment = number.saturating_add(1);
             if let Ok(file) = File::open(tier.segment_path(number)) {
                 let payload_bytes = tier.scan(number, &file);
-                tier.payload_bytes += payload_bytes;
                 tier.segments.insert(number, Segment { file: Arc::new(file), payload_bytes });
             }
         }
@@ -490,7 +486,6 @@ impl DiskTier {
             return Err(e);
         }
         segment.payload_bytes += u64::from(len);
-        self.payload_bytes += u64::from(len);
         self.active = Some((number, end + HEADER_LEN as u64 + u64::from(len)));
         self.index.insert(key, Slot { offset: end, len, segment: number });
         Ok(())
@@ -529,14 +524,15 @@ impl DiskTier {
     fn evict(&mut self) -> u64 {
         let Some(cap) = self.cap else { return 0 };
         let active = self.active.map(|(number, _)| number);
+        let mut total: u64 = self.segments.values().map(|segment| segment.payload_bytes).sum();
         let mut dropped = 0;
-        while self.payload_bytes > cap {
+        while total > cap {
             let Some((&oldest, _)) = self.segments.first_key_value() else { break };
             if Some(oldest) == active {
                 break;
             }
             let segment = self.segments.remove(&oldest).expect("first key is present");
-            self.payload_bytes -= segment.payload_bytes;
+            total -= segment.payload_bytes;
             let before = self.index.len();
             self.index.retain(|_, slot| slot.segment != oldest);
             dropped += (before - self.index.len()) as u64;
@@ -638,15 +634,6 @@ mod tests {
         files
     }
 
-    /// Overwrites bytes at `offset` of the one segment in `dir`.
-    fn tamper_segment(dir: &Path, offset: u64, bytes: &[u8]) {
-        let [segment] = &segment_files(dir)[..] else { panic!("one segment expected") };
-        let mut contents = fs::read(segment).unwrap();
-        let at = offset as usize;
-        contents[at..at + bytes.len()].copy_from_slice(bytes);
-        fs::write(segment, contents).unwrap();
-    }
-
     #[test]
     // The clone is the subject under test: a cloned frame must share the
     // original's allocation.
@@ -705,7 +692,10 @@ mod tests {
         // Evict from memory so the next get must go to disk.
         cache.insert(8, b"other");
         // Record 7 opens the segment; overwrite its payload.
-        tamper_segment(&dir, HEADER_LEN as u64, b"tamperd");
+        let [segment] = &segment_files(&dir)[..] else { panic!("one segment expected") };
+        let mut bytes = fs::read(segment).unwrap();
+        bytes[HEADER_LEN..HEADER_LEN + 7].copy_from_slice(b"tamperd");
+        fs::write(segment, bytes).unwrap();
         assert_eq!(raw_get(&cache, 7), None);
         assert_eq!(cache.stats.corrupt.load(Ordering::Relaxed), 1);
         // Removed from the index: the next lookup is a plain miss.
