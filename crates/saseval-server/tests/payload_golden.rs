@@ -21,10 +21,19 @@
 //! field (1/7/16) older clients send. The server ignores it as an
 //! unknown field, and the wire text is the row label, so these rows
 //! prove such clients keep getting identical payloads.
+//!
+//! Every row also serializes its payload a second way, through the
+//! in-memory `Value` tree (`to_value`, then `to_string` of that tree),
+//! and requires the same bytes: the streaming writer and the tree
+//! builder agree on every payload shape.
+//!
+//! Finally, [`CONTRACT_FINGERPRINTS`] pins a hash of all three tables to
+//! each [`RESULT_CONTRACT`] version, so regenerating a table without
+//! bumping the contract fails too.
 
 use saseval_fuzz::scenario::ScenarioSpace;
 use saseval_obs::Obs;
-use saseval_server::job::{ConstructionScenario, KeylessScenario, ScenarioJob};
+use saseval_server::job::{ConstructionScenario, KeylessScenario, ScenarioJob, RESULT_CONTRACT};
 use saseval_server::worker::execute;
 use saseval_server::{
     CampaignJob, CatalogName, ControlsPreset, FuzzJob, JobSpec, LintJob, ScenarioSpec, SuiteName,
@@ -132,11 +141,16 @@ fn campaign_and_lint_matrix() -> Vec<JobSpec> {
 
 /// Runs every job and compares `(spec, payload hash)` rows against the
 /// golden table; on mismatch the panic message is the regenerated table.
+/// Each payload's bytes must also equal the text of its `Value` tree.
 fn check(rows: Vec<(String, JobSpec)>, golden: &[(&str, u64)]) {
     let actual: Vec<(String, u64)> = rows
         .into_iter()
         .map(|(label, spec)| {
-            let bytes = execute(spec, &Obs::noop()).to_bytes();
+            let payload = execute(spec, &Obs::noop());
+            let bytes = payload.to_bytes();
+            let tree = serde_json::to_value(&payload).expect("payloads build a tree");
+            let via_tree = serde_json::to_string(&tree).expect("trees serialize");
+            assert!(via_tree.as_bytes() == bytes, "{label}: tree text differs from to_bytes");
             (label, fnv1a64(&bytes))
         })
         .collect();
@@ -151,6 +165,31 @@ fn check(rows: Vec<(String, JobSpec)>, golden: &[(&str, u64)]) {
             .collect();
         panic!("payload bytes differ from the golden table; actual rows:\n{table}");
     }
+}
+
+/// `(RESULT_CONTRACT, fingerprint of every golden table)`, oldest first.
+/// A deliberate payload change regenerates the tables, bumps the
+/// contract and appends the row this file's failure message prints.
+const CONTRACT_FINGERPRINTS: &[(u32, u64)] = &[(3, 0xbdaf6b7b228abb83)];
+
+#[test]
+fn golden_tables_are_pinned_to_the_result_contract() {
+    let mut text = String::new();
+    for (label, hash) in [FUZZ_GOLDEN, SCENARIO_GOLDEN, CAMPAIGN_LINT_GOLDEN].concat() {
+        text.push_str(&format!("{label}\t{hash:016x}\n"));
+    }
+    let fingerprint = fnv1a64(text.as_bytes());
+    assert!(
+        CONTRACT_FINGERPRINTS.windows(2).all(|w| w[0].0 < w[1].0),
+        "contract fingerprints must be listed oldest first"
+    );
+    assert_eq!(
+        CONTRACT_FINGERPRINTS.last().copied(),
+        Some((RESULT_CONTRACT, fingerprint)),
+        "the golden tables hash to 0x{fingerprint:016x}, which is not pinned to \
+         RESULT_CONTRACT {RESULT_CONTRACT}; a deliberate payload change bumps the contract \
+         and appends (<new contract>, 0x{fingerprint:016x})"
+    );
 }
 
 #[test]
