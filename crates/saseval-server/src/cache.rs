@@ -48,9 +48,10 @@
 //! cache's code version and the payload's hash. Any mismatch is treated
 //! as a miss and drops the index entry (counted under
 //! [`CacheStats::corrupt`]), so a corrupted store degrades to
-//! recomputation instead of serving bad bytes. Files other than segments
-//! (such as the `<key>.bin`/`<key>.json` pairs of the earlier
-//! file-per-entry layout) are ignored.
+//! recomputation instead of serving bad bytes. Opening a cache deletes
+//! the files of the earlier file-per-entry layout (`<key>.bin`,
+//! `<key>.json` and their `.tmp` siblings), which nothing reads any
+//! more; every other file is left alone.
 //!
 //! With [`ResultCache::with_disk_cap`], the disk tier bounds its payload
 //! bytes: the segment being appended to rolls over once it holds a
@@ -61,6 +62,7 @@
 //! on steady-state growth, not a hard invariant.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::ffi::OsStr;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufReader, IoSlice, Read, Write};
 use std::path::{Path, PathBuf};
@@ -410,12 +412,19 @@ impl DiskTier {
             active: None,
             next_segment: 0,
         };
-        let mut numbers: Vec<u32> = match fs::read_dir(&tier.dir) {
-            Ok(entries) => {
-                entries.flatten().filter_map(|entry| segment_number(&entry.path())).collect()
+        let mut numbers = Vec::new();
+        if let Ok(entries) = fs::read_dir(&tier.dir) {
+            for entry in entries.flatten() {
+                let path = entry.path();
+                if let Some(number) = segment_number(&path) {
+                    numbers.push(number);
+                } else if is_legacy_entry(&entry.file_name()) {
+                    // Nothing under this layout reads it: only its disk
+                    // space is left to reclaim.
+                    let _ = fs::remove_file(&path);
+                }
             }
-            Err(_) => Vec::new(),
-        };
+        }
         numbers.sort_unstable();
         for number in numbers {
             tier.next_segment = number.saturating_add(1);
@@ -556,6 +565,17 @@ fn segment_number(path: &Path) -> Option<u32> {
         return None;
     }
     path.file_stem()?.to_str()?.parse().ok()
+}
+
+/// Whether `name` is a file of the earlier file-per-entry layout:
+/// `<16-hex-key>.bin`, `<16-hex-key>.json`, or the `.tmp` sibling either
+/// was written through.
+fn is_legacy_entry(name: &OsStr) -> bool {
+    let Some((key, ext)) = name.to_str().and_then(|name| name.split_at_checked(16)) else {
+        return false;
+    };
+    key.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'))
+        && matches!(ext, ".bin" | ".json" | ".bin.tmp" | ".json.tmp")
 }
 
 /// Reads the record `slot` points at — header and payload in one
@@ -851,9 +871,16 @@ mod tests {
         let names: Vec<_> =
             segment_files(&dir).iter().map(|p| p.file_name().unwrap().to_owned()).collect();
         assert_eq!(names, ["00000000.seg", "00000001.seg", "00000002.seg"]);
-        // Files of the earlier file-per-entry layout are ignored.
-        fs::write(dir.join(format!("{:016x}.bin", 9)), b"old").unwrap();
+        // Opening deletes the files of the earlier file-per-entry layout
+        // and leaves every other file alone.
+        let old = [format!("{:016x}.bin", 9), format!("{:016x}.json.tmp", 9)];
+        for name in &old {
+            fs::write(dir.join(name), b"old").unwrap();
+        }
+        fs::write(dir.join("notes.bin"), b"kept").unwrap();
         let cache = ResultCache::new(4, Some(dir.clone()));
+        assert!(old.iter().all(|name| !dir.join(name).exists()), "old layout files are gone");
+        assert!(dir.join("notes.bin").exists());
         assert_eq!(raw_get(&cache, 9), None);
         assert_eq!(raw_get(&cache, 1), Some((b"one".to_vec(), CacheTier::Disk)));
         fs::remove_dir_all(&dir).unwrap();
