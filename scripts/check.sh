@@ -39,6 +39,11 @@ echo "==> unread flood path: equivalence proptests in release, 256 cases"
 # PROPTEST_CASES; tier-1 runs them with the default 64 cases.
 PROPTEST_CASES=256 cargo test -q --release --test unread_flood_equivalence
 
+echo "==> JSON writer: equivalence proptest in release, 1024 cases"
+# The streaming writer against a copy of the Value-tree walkers it
+# replaced, over random trees; default config, so PROPTEST_CASES applies.
+PROPTEST_CASES=1024 cargo test -q --release --test json_writer_equivalence
+
 echo "==> sharded fuzzing smoke: repro_tables fuzz --fuzz-shards 2"
 cargo run -q --release -p saseval-bench --bin repro_tables -- fuzz --fuzz-shards 2
 
