@@ -136,9 +136,14 @@ impl ServiceFlood {
 }
 
 impl AttackerHook<KeylessWorld> for ServiceFlood {
+    /// One tick's requests share a sender, an instant and a payload, so
+    /// they go out as one burst.
     fn on_tick(&mut self, world: &mut KeylessWorld, _now: SimTime) {
-        for _ in 0..self.per_tick {
-            world.send_ble(Arc::clone(&self.sender), self.request.clone());
+        let mut unsent = self.per_tick;
+        while unsent > 0 {
+            let burst = u32::try_from(unsent).unwrap_or(u32::MAX);
+            world.send_ble_burst(Arc::clone(&self.sender), self.request.clone(), burst);
+            unsent -= burst as usize;
         }
     }
 }

@@ -5,12 +5,16 @@
 //! messages per case. The attacks build their sender identity and
 //! payloads once, and the networks, controls and worlds share them.
 //! AD20's messages to a shut-down OBU or from an isolated sender are
-//! unread: only their channel draws are made, nothing is built. A whole
-//! case therefore allocates a few thousand times (AD20 about 2 k and
-//! 4 k, AD14 about 15 k and 3 k), not once or more per message, which
-//! would put AD20 near 200 k and AD14 near 90 k. The bounds, 10 k per
-//! AD20 case and 50 k per AD14 case, sit above the first and below the
-//! second; a per-message allocation that creeps back in fails them.
+//! unread: only their channel draws are made, nothing is built. AD14's
+//! requests travel as one burst per tick through the BLE link, the
+//! gateway's rate limiter and the CAN bus, whose deliveries land in a
+//! buffer the world keeps. A whole AD20 case therefore allocates a few
+//! thousand times (about 2 k and 4 k) and a whole AD14 case a few dozen
+//! times (48 and 81), not once or more per message, which would put
+//! AD20 near 200 k and AD14 near 90 k. The bounds, 10 k per AD20 case
+//! and about three times the measured count per AD14 case (150 and
+//! 250), sit well below that; a per-message or per-tick allocation
+//! that creeps back in fails them.
 //!
 //! This file is its own test binary because it installs a counting
 //! global allocator. Counting is switched on per thread, so allocations
@@ -79,9 +83,10 @@ fn allocations_of(case: &TestCase) -> u64 {
     allocations
 }
 
-fn assert_budget(cases: &[TestCase], budget: u64) {
+/// Holds the undefended and the defended case to their budgets.
+fn assert_budget(cases: &[TestCase], budgets: [u64; 2]) {
     assert_eq!(cases.len(), 2, "one undefended and one defended case");
-    for case in cases {
+    for (case, budget) in cases.iter().zip(budgets) {
         let allocations = allocations_of(case);
         println!("{} ({}): {allocations} allocations", case.attack_id, case.label);
         assert!(
@@ -95,12 +100,12 @@ fn assert_budget(cases: &[TestCase], budget: u64) {
 
 #[test]
 fn ad20_flood_cases_stay_within_allocation_budget() {
-    assert_budget(&ad20_cases(), 10_000);
+    assert_budget(&ad20_cases(), [10_000, 10_000]);
 }
 
 #[test]
 fn ad14_flood_cases_stay_within_allocation_budget() {
-    assert_budget(&can_flood_cases(), 50_000);
+    assert_budget(&can_flood_cases(), [150, 250]);
 }
 
 #[test]

@@ -36,10 +36,14 @@
 //!
 //! Opening a cache builds the index by scanning every segment's record
 //! headers in segment order, seeking past payloads; the newest record
-//! of a key wins. A segment's scan stops at its first short or torn
-//! record (a header without the magic, or a payload running past the
-//! end of the file), so a crash mid-append loses at most the record
-//! being written and never an earlier one.
+//! of a key written under this code version wins, and records of other
+//! versions are never indexed. A segment's scan stops at its first
+//! short or torn record (a header without the magic, or a payload
+//! running past the end of the file), so a crash mid-append loses at
+//! most the record being written and never an earlier one. After the
+//! scan, every segment that holds complete records but no indexed one
+//! is deleted, except the newest, which another process may still be
+//! appending to.
 //!
 //! A lookup that misses the index costs no syscall. A hit is one
 //! positioned read of header plus payload on the segment's kept-open
@@ -61,7 +65,7 @@
 //! a single payload larger than the cap still caches; the cap is a bound
 //! on steady-state growth, not a hard invariant.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::ffi::OsStr;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufReader, IoSlice, Read, Write};
@@ -293,9 +297,9 @@ impl ResultCache {
         };
         let verified = read_record(&file, slot, key, version_hash);
         if verified.is_none() {
-            // Corrupt or foreign-version record: drop it from the index
-            // so the slot can be refilled by a fresh run (unless an
-            // insert already replaced it).
+            // Corrupt record: drop it from the index so the slot can be
+            // refilled by a fresh run (unless an insert already replaced
+            // it).
             self.stats.corrupt.fetch_add(1, Ordering::Relaxed);
             let mut tier = lock(disk);
             if tier.index.get(&key) == Some(&slot) {
@@ -402,6 +406,12 @@ impl DiskTier {
     /// Opens the store at `dir`: one `read_dir` (a missing directory is
     /// an empty store) and a header scan of every segment. Creates
     /// nothing.
+    ///
+    /// A segment whose complete records are all superseded or written
+    /// under another code version is dead: nothing will ever be served
+    /// from it, so it is deleted. The newest segment and segments without
+    /// a complete record are kept, because another process may be
+    /// appending to them.
     fn open(dir: PathBuf, version_hash: u64) -> Self {
         let mut tier = DiskTier {
             dir,
@@ -426,11 +436,22 @@ impl DiskTier {
             }
         }
         numbers.sort_unstable();
-        for number in numbers {
+        let mut with_records = Vec::new();
+        for &number in &numbers {
             tier.next_segment = number.saturating_add(1);
             if let Ok(file) = File::open(tier.segment_path(number)) {
-                let payload_bytes = tier.scan(number, &file);
+                let (records, payload_bytes) = tier.scan(number, &file);
                 tier.segments.insert(number, Segment { file: Arc::new(file), payload_bytes });
+                if records > 0 {
+                    with_records.push(number);
+                }
+            }
+        }
+        let live: BTreeSet<u32> = tier.index.values().map(|slot| slot.segment).collect();
+        for number in with_records {
+            if !live.contains(&number) && Some(&number) != numbers.last() {
+                tier.segments.remove(&number);
+                let _ = fs::remove_file(tier.segment_path(number));
             }
         }
         tier
@@ -440,15 +461,17 @@ impl DiskTier {
         self.dir.join(format!("{number:08}.{SEGMENT_EXT}"))
     }
 
-    /// Indexes the records of segment `number`, stopping at the first
-    /// short or torn one (or a read error). Returns the indexed payload
-    /// bytes.
-    fn scan(&mut self, number: u32, file: &File) -> u64 {
-        let Ok(metadata) = file.metadata() else { return 0 };
+    /// Indexes the records of segment `number` written under this code
+    /// version, stopping at the first short or torn one (or a read
+    /// error). Returns the number of complete records and their payload
+    /// bytes, foreign-version ones included: they occupy the disk the
+    /// cap bounds.
+    fn scan(&mut self, number: u32, file: &File) -> (u64, u64) {
+        let Ok(metadata) = file.metadata() else { return (0, 0) };
         let file_len = metadata.len();
         let mut reader = BufReader::new(file);
         let mut header = [0u8; HEADER_LEN];
-        let (mut offset, mut payload_bytes) = (0u64, 0u64);
+        let (mut offset, mut records, mut payload_bytes) = (0u64, 0u64, 0u64);
         while offset + HEADER_LEN as u64 <= file_len {
             if reader.read_exact(&mut header).is_err() {
                 break;
@@ -461,11 +484,14 @@ impl DiskTier {
             {
                 break;
             }
-            self.index.insert(record.key, Slot { offset, len, segment: number });
+            if record.version_hash == self.version_hash {
+                self.index.insert(record.key, Slot { offset, len, segment: number });
+            }
+            records += 1;
             payload_bytes += u64::from(len);
             offset = payload_at + u64::from(len);
         }
-        payload_bytes
+        (records, payload_bytes)
     }
 
     /// Appends one record and indexes it once the write has returned.
@@ -629,7 +655,7 @@ fn read_exact_at(file: &File, mut buf: &mut [u8], mut offset: u64) -> io::Result
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use std::collections::{HashMap, HashSet};
     use std::sync::atomic::AtomicUsize;
 
     static DIR_COUNTER: AtomicUsize = AtomicUsize::new(0);
@@ -751,7 +777,60 @@ mod tests {
         drop(old);
         let new = ResultCache::with_version(1, Some(dir.clone()), "v-new".to_owned());
         assert_eq!(raw_get(&new, 7), None);
-        assert_eq!(new.stats.corrupt.load(Ordering::Relaxed), 1);
+        // Never indexed, so the lookup is a plain miss.
+        assert_eq!(new.stats.corrupt.load(Ordering::Relaxed), 0);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_newer_foreign_record_does_not_hide_an_older_valid_one() {
+        let dir = temp_dir();
+        let current = ResultCache::with_version(1, Some(dir.clone()), "v-new".to_owned());
+        current.insert(7, b"valid");
+        drop(current);
+        let other = ResultCache::with_version(1, Some(dir.clone()), "v-other".to_owned());
+        other.insert(7, b"foreign");
+        drop(other);
+        let reopened = ResultCache::with_version(1, Some(dir.clone()), "v-new".to_owned());
+        assert_eq!(raw_get(&reopened, 7), Some((b"valid".to_vec(), CacheTier::Disk)));
+        assert_eq!(reopened.stats.corrupt.load(Ordering::Relaxed), 0);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn opening_under_a_new_version_deletes_the_old_versions_segments() {
+        let dir = temp_dir();
+        for key in 1..3 {
+            let old = ResultCache::with_version(1, Some(dir.clone()), "v-old".to_owned());
+            old.insert(key, b"old");
+        }
+        // The newest segment is kept: its writer may still be appending.
+        let new = ResultCache::with_version(1, Some(dir.clone()), "v-new".to_owned());
+        assert_eq!(segment_files(&dir).len(), 1, "the older v-old segment is deleted");
+        new.insert(3, b"new");
+        drop(new);
+        let new = ResultCache::with_version(1, Some(dir.clone()), "v-new".to_owned());
+        let names: Vec<_> =
+            segment_files(&dir).iter().map(|p| p.file_name().unwrap().to_owned()).collect();
+        assert_eq!(names, ["00000002.seg"], "no v-old segment is left");
+        assert_eq!(raw_get(&new, 3), Some((b"new".to_vec(), CacheTier::Disk)));
+        // The deleted segments' handles are gone with them.
+        assert_eq!(lock(new.disk.as_ref().unwrap()).segments.len(), 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn opening_deletes_fully_superseded_segments_only() {
+        let dir = temp_dir();
+        for (key, payload) in [(1, b"a1"), (2, b"b1"), (1, b"a2"), (2, b"b2")] {
+            ResultCache::new(1, Some(dir.clone())).insert(key, payload);
+        }
+        let cache = ResultCache::new(1, Some(dir.clone()));
+        let names: Vec<_> =
+            segment_files(&dir).iter().map(|p| p.file_name().unwrap().to_owned()).collect();
+        assert_eq!(names, ["00000002.seg", "00000003.seg"]);
+        assert_eq!(raw_get(&cache, 1), Some((b"a2".to_vec(), CacheTier::Disk)));
+        assert_eq!(raw_get(&cache, 2), Some((b"b2".to_vec(), CacheTier::Disk)));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -937,9 +1016,11 @@ mod tests {
     /// behind a torn record either the older answer or nothing. (A torn
     /// record that passes the hash check holds exactly its inserted
     /// bytes, so those are allowed too.)
-    fn reopened_view(segments: &[(Vec<ModelRecord>, u64)]) -> HashMap<u64, Vec<Option<Vec<u8>>>> {
+    fn reopened_view(
+        segments: &[(Vec<ModelRecord>, u64, PathBuf)],
+    ) -> HashMap<u64, Vec<Option<Vec<u8>>>> {
         let mut view: HashMap<u64, Vec<Option<Vec<u8>>>> = HashMap::new();
-        for record in segments.iter().flat_map(|(records, _)| records) {
+        for record in segments.iter().flat_map(|(records, ..)| records) {
             let allowed = match record.state {
                 RecordState::Intact => vec![Some(record.bytes.clone())],
                 RecordState::Tampered => vec![None],
@@ -961,15 +1042,16 @@ mod tests {
 
         /// Random inserts, restarts, torn tails and flipped bytes
         /// against a model of the log: every hit is the last bytes
-        /// inserted for its key that survive on disk, and nothing torn
-        /// or tampered is ever served.
+        /// inserted for its key that survive on disk, nothing torn or
+        /// tampered is ever served, and a reopen deletes only segments
+        /// whose every record a later record of its key supersedes.
         #[test]
         fn disk_tier_matches_a_model_under_crashes(ops in prop::collection::vec(op(), 1..40)) {
             let dir = temp_dir();
             let open = || ResultCache::new(2, Some(dir.clone()));
             let mut cache = Some(open());
-            // Per segment: its records and its file length.
-            let mut segments: Vec<(Vec<ModelRecord>, u64)> = Vec::new();
+            // Per segment: its records, its file length and its path.
+            let mut segments: Vec<(Vec<ModelRecord>, u64, PathBuf)> = Vec::new();
             let mut appending = false;
             let mut allowed: HashMap<u64, Vec<Option<Vec<u8>>>> = HashMap::new();
             for op in ops {
@@ -982,10 +1064,11 @@ mod tests {
                     Op::Insert(key, bytes) => {
                         cache.as_ref().unwrap().insert(key, &bytes);
                         if !appending {
-                            segments.push((Vec::new(), 0));
+                            let path = segment_files(&dir).pop().unwrap();
+                            segments.push((Vec::new(), 0, path));
                             appending = true;
                         }
-                        let (records, len) = segments.last_mut().unwrap();
+                        let (records, len, _) = segments.last_mut().unwrap();
                         *len += (HEADER_LEN + bytes.len()) as u64;
                         allowed.insert(key, vec![Some(bytes.clone())]);
                         let state = RecordState::Intact;
@@ -993,7 +1076,7 @@ mod tests {
                     }
                     Op::Restart => {}
                     Op::Truncate(cut, garbage) => {
-                        if let (Some((records, len)), Some(path)) =
+                        if let (Some((records, len, _)), Some(path)) =
                             (segments.last_mut(), segment_files(&dir).last())
                         {
                             let file = OpenOptions::new().append(true).open(path).unwrap();
@@ -1015,7 +1098,7 @@ mod tests {
                         let mut targets: Vec<(usize, &mut ModelRecord)> = segments
                             .iter_mut()
                             .enumerate()
-                            .flat_map(|(i, (records, _))| records.iter_mut().map(move |r| (i, r)))
+                            .flat_map(|(i, (records, ..))| records.iter_mut().map(move |r| (i, r)))
                             .filter(|(_, r)| !r.bytes.is_empty() && r.state == RecordState::Intact)
                             .collect();
                         if !targets.is_empty() {
@@ -1030,6 +1113,26 @@ mod tests {
                 }
                 if cache.is_none() {
                     cache = Some(open());
+                    let kept = segment_files(&dir);
+                    let newest_kept = segments.last().is_none_or(|(_, _, path)| kept.contains(path));
+                    prop_assert!(newest_kept, "the newest segment was deleted");
+                    // A torn record may or may not be indexed: it needs
+                    // no successor, and counts as one.
+                    let mut later = HashSet::new();
+                    for (records, _, path) in segments.iter().rev() {
+                        let deleted = !kept.contains(path);
+                        for record in records.iter().rev() {
+                            prop_assert!(
+                                !deleted
+                                    || record.state == RecordState::Torn
+                                    || later.contains(&record.key),
+                                "deleted {path:?} held the newest record of key {}",
+                                record.key
+                            );
+                            later.insert(record.key);
+                        }
+                    }
+                    segments.retain(|(_, _, path)| kept.contains(path));
                     allowed = reopened_view(&segments);
                 }
                 let cache = cache.as_ref().unwrap();

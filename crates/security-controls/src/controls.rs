@@ -251,17 +251,15 @@ impl FloodDetector {
     pub fn new(max_per_window: usize, window: Ftti) -> Self {
         FloodDetector { max_per_window: max_per_window.max(1), window, history: BTreeMap::new() }
     }
-}
 
-impl SecurityControl for FloodDetector {
-    fn name(&self) -> &str {
-        "flood-detector"
-    }
-
-    fn check(&mut self, envelope: &Envelope, now: SimTime) -> Result<(), RejectReason> {
-        let history = match self.history.get_mut(envelope.sender()) {
+    /// Admits up to `count` messages from `sender` arriving together at
+    /// `now`, as `count` calls of [`SecurityControl::check`] would:
+    /// prunes the window once and admits `min(count, budget left)`.
+    /// Returns the number admitted; the rest are rejected as flooding.
+    pub fn admit(&mut self, sender: &Arc<str>, now: SimTime, count: usize) -> usize {
+        let history = match self.history.get_mut(&**sender) {
             Some(history) => history,
-            None => self.history.entry(Arc::clone(envelope.shared_sender())).or_default(),
+            None => self.history.entry(Arc::clone(sender)).or_default(),
         };
         while let Some(&front) = history.front() {
             if now.saturating_since(front) > self.window {
@@ -270,11 +268,24 @@ impl SecurityControl for FloodDetector {
                 break;
             }
         }
-        if history.len() >= self.max_per_window {
-            return Err(RejectReason::Flooding);
+        let admitted = self.max_per_window.saturating_sub(history.len()).min(count);
+        for _ in 0..admitted {
+            history.push_back(now);
         }
-        history.push_back(now);
-        Ok(())
+        admitted
+    }
+}
+
+impl SecurityControl for FloodDetector {
+    fn name(&self) -> &str {
+        "flood-detector"
+    }
+
+    fn check(&mut self, envelope: &Envelope, now: SimTime) -> Result<(), RejectReason> {
+        match self.admit(envelope.shared_sender(), now, 1) {
+            0 => Err(RejectReason::Flooding),
+            _ => Ok(()),
+        }
     }
 
     fn box_clone(&self) -> Box<dyn SecurityControl> {
@@ -529,6 +540,19 @@ mod tests {
         assert!(fd.check(&a, SimTime::ZERO).is_ok());
         assert!(fd.check(&b, SimTime::ZERO).is_ok());
         assert_eq!(fd.check(&a, SimTime::ZERO), Err(RejectReason::Flooding));
+    }
+
+    #[test]
+    fn flood_detector_admits_a_burst_as_single_checks() {
+        let sender: Arc<str> = Arc::from("s");
+        let env = Envelope::new(Arc::clone(&sender), SimTime::ZERO, vec![]);
+        let mut burst = FloodDetector::new(5, Ftti::from_millis(100));
+        let mut single = burst.clone();
+        for (at_ms, count) in [(0, 3), (10, 4), (50, 2), (120, 7), (300, 0), (301, 9)] {
+            let now = SimTime::from_millis(at_ms);
+            let admitted = (0..count).filter(|_| single.check(&env, now).is_ok()).count();
+            assert_eq!(burst.admit(&sender, now, count), admitted, "at {at_ms} ms");
+        }
     }
 
     #[test]

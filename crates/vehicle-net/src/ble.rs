@@ -32,10 +32,12 @@ pub enum LinkState {
     },
 }
 
-/// A data frame on the link.
+/// A data frame on the link, or a burst of `count` identical frames
+/// sent together and delivered together.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BleFrame {
-    /// Link-layer sequence number (monotonic per connection).
+    /// Link-layer sequence number (monotonic per connection) of the
+    /// first frame of the burst that survived transit.
     pub seq: u32,
     /// Sender name, shared with every other frame from the same
     /// identity.
@@ -44,6 +46,8 @@ pub struct BleFrame {
     pub payload: Bytes,
     /// Send time (basis of freshness checks).
     pub sent_at: SimTime,
+    /// Frames this entry stands for (at least 1).
+    pub count: u32,
 }
 
 /// Configuration of a [`BleLink`].
@@ -224,29 +228,74 @@ impl BleLink {
         payload: Bytes,
         now: SimTime,
     ) -> Result<u32, NetError> {
+        self.send_burst(sender, payload, 1, now)
+    }
+
+    /// Sends `count` identical frames at `now`, as `count` calls of
+    /// [`BleLink::send`] would: each frame gets its sequence number and
+    /// its own loss draw, in order. The frames that survive travel as
+    /// one in-flight entry and are delivered as one [`BleFrame`] whose
+    /// `count` says how many it stands for. Returns the first assigned
+    /// sequence number.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetError::NotConnected`] if no connection exists.
+    pub fn send_burst(
+        &mut self,
+        sender: impl Into<Arc<str>>,
+        payload: Bytes,
+        count: u32,
+        now: SimTime,
+    ) -> Result<u32, NetError> {
         if !self.is_connected() {
             return Err(NetError::NotConnected);
         }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.stats.sent += 1;
-        self.obs.counter("net.ble.sent", 1);
-        if self.is_jammed(now)
-            || (self.config.loss_prob > 0.0 && self.rng.random_bool(self.config.loss_prob))
-        {
-            self.stats.lost += 1;
-            self.obs.counter("net.ble.lost", 1);
-            return Ok(seq);
+        let first = self.next_seq;
+        if count == 0 {
+            return Ok(first);
         }
-        let frame = BleFrame { seq, sender: sender.into(), payload, sent_at: now };
-        let arrival = now + Ftti::from_micros(self.config.latency_us);
-        self.in_flight.push((arrival, frame));
-        Ok(seq)
+        self.next_seq += count;
+        self.stats.sent += u64::from(count);
+        self.obs.counter("net.ble.sent", u64::from(count));
+        // A jammed channel loses every frame without a draw.
+        let mut survivors = 0;
+        let mut first_survivor = first;
+        if !self.is_jammed(now) {
+            for seq in first..first + count {
+                if self.config.loss_prob > 0.0 && self.rng.random_bool(self.config.loss_prob) {
+                    continue;
+                }
+                if survivors == 0 {
+                    first_survivor = seq;
+                }
+                survivors += 1;
+            }
+        }
+        let lost = count - survivors;
+        if lost > 0 {
+            self.stats.lost += u64::from(lost);
+            self.obs.counter("net.ble.lost", u64::from(lost));
+        }
+        if survivors > 0 {
+            let frame = BleFrame {
+                seq: first_survivor,
+                sender: sender.into(),
+                payload,
+                sent_at: now,
+                count: survivors,
+            };
+            let arrival = now + Ftti::from_micros(self.config.latency_us);
+            self.in_flight.push((arrival, frame));
+        }
+        Ok(first)
     }
 
-    /// Delivers frames due at `now` and runs connection supervision: if
-    /// the link is connected and the last delivered activity is older than
-    /// the supervision timeout, the connection drops.
+    /// Delivers frames due at `now`, in send order, and runs connection
+    /// supervision: if the link is connected and the last delivered
+    /// activity is older than the supervision timeout, the connection
+    /// drops. A burst's surviving frames come back as one [`BleFrame`]
+    /// with their `count`.
     pub fn poll(&mut self, now: SimTime) -> Vec<BleFrame> {
         let mut delivered = Vec::new();
         self.poll_into(now, &mut delivered);
@@ -261,18 +310,21 @@ impl BleLink {
         delivered.clear();
         self.in_flight.sort_by_key(|(t, _)| *t);
         let due = self.in_flight.partition_point(|(arrival, _)| *arrival <= now);
+        let mut delivered_frames = 0;
         for (arrival, frame) in self.in_flight.drain(..due) {
+            let count = u64::from(frame.count);
             if self.jam_until.is_some_and(|until| arrival < until) {
-                self.stats.lost += 1;
-                self.obs.counter("net.ble.lost", 1);
+                self.stats.lost += count;
+                self.obs.counter("net.ble.lost", count);
             } else {
                 self.last_activity = arrival;
-                self.stats.delivered += 1;
+                delivered_frames += count;
                 delivered.push(frame);
             }
         }
-        if !delivered.is_empty() {
-            self.obs.counter("net.ble.delivered", delivered.len() as u64);
+        if delivered_frames > 0 {
+            self.stats.delivered += delivered_frames;
+            self.obs.counter("net.ble.delivered", delivered_frames);
         }
 
         if self.is_connected()
@@ -424,6 +476,30 @@ mod tests {
             link.poll(SimTime::from_secs(1)).len()
         };
         assert_eq!(observe(5), observe(5));
+    }
+
+    #[test]
+    fn a_burst_draws_and_counts_like_single_sends() {
+        let config = BleConfig { loss_prob: 0.4, ..lossless() };
+        let mut single = BleLink::new(config, 3);
+        single.start_advertising(SimTime::ZERO);
+        single.connect("phone", SimTime::ZERO).unwrap();
+        let mut burst = single.clone();
+        for _ in 0..20 {
+            single.send("phone", Bytes::from_static(b"x"), SimTime::ZERO).unwrap();
+        }
+        assert_eq!(burst.send_burst("phone", Bytes::from_static(b"x"), 20, SimTime::ZERO), Ok(0));
+        let frames = burst.poll(SimTime::from_millis(1));
+        let [frame] = &frames[..] else { panic!("one entry for the burst: {frames:?}") };
+        let singles = single.poll(SimTime::from_millis(1));
+        assert_eq!(frame.count as usize, singles.len());
+        assert_eq!(frame.seq, singles[0].seq, "numbered from the first survivor");
+        assert_eq!(burst.stats(), single.stats());
+        // The link's draws stay aligned afterwards.
+        for link in [&mut single, &mut burst] {
+            link.send("phone", Bytes::from_static(b"y"), SimTime::from_millis(1)).unwrap();
+        }
+        assert_eq!(burst.poll(SimTime::from_secs(1)), single.poll(SimTime::from_secs(1)));
     }
 
     #[test]

@@ -123,13 +123,26 @@ impl Default for CanBusConfig {
     }
 }
 
-/// A delivered frame with its bus completion time.
+/// A run of identical frames delivered back to back, with the
+/// completion time of its first frame. Frame `k` of the run (counting
+/// from 0) completed at `completed_at + k · frame_time`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CanDelivery {
     /// The transmitted frame.
     pub frame: CanFrame,
-    /// Virtual time at which transmission completed.
+    /// Virtual time at which the run's first frame completed.
     pub completed_at: SimTime,
+    /// Frames in the run (at least 1).
+    pub count: u32,
+    /// Bus time of one frame.
+    pub frame_time: Ftti,
+}
+
+impl CanDelivery {
+    /// The completion time of each frame of the run, in bus order.
+    pub fn completion_times(&self) -> impl Iterator<Item = SimTime> + '_ {
+        (0..u64::from(self.count)).map(|k| self.completed_at + self.frame_time.saturating_mul(k))
+    }
 }
 
 /// Per-bus transmission statistics.
@@ -143,10 +156,19 @@ pub struct CanBusStats {
     pub dropped: u64,
 }
 
+/// `count` copies of one frame, queued together with one ready time.
 #[derive(Clone)]
-struct QueuedFrame {
+struct QueuedRun {
     frame: CanFrame,
     ready: SimTime,
+    count: u32,
+}
+
+/// One node's transmit queue: runs in FIFO order and their frame total.
+#[derive(Clone, Default)]
+struct NodeQueue {
+    runs: VecDeque<QueuedRun>,
+    frames: usize,
 }
 
 /// A shared CAN bus with per-node transmit queues.
@@ -170,7 +192,7 @@ pub struct CanBus {
     config: CanBusConfig,
     /// Transmit queues keyed by the sender's shared name, so queueing
     /// and arbitration copy a pointer, not the name.
-    queues: BTreeMap<Arc<str>, VecDeque<QueuedFrame>>,
+    queues: BTreeMap<Arc<str>, NodeQueue>,
     tec: BTreeMap<String, u32>,
     cursor: SimTime,
     stats: CanBusStats,
@@ -211,7 +233,7 @@ impl CanBus {
         &self.config
     }
 
-    /// Queues a frame for transmission at `now`.
+    /// Queues a frame for transmission at `now`: a run of one.
     ///
     /// # Errors
     ///
@@ -219,6 +241,24 @@ impl CanBus {
     /// * [`NetError::TxQueueFull`] if the sender's queue is at capacity
     ///   (the frame is counted as dropped).
     pub fn submit(&mut self, frame: CanFrame, now: SimTime) -> Result<(), NetError> {
+        self.submit_run(frame, 1, now)
+    }
+
+    /// Queues `count` copies of `frame` for transmission at `now`, as
+    /// `count` calls of [`CanBus::submit`] would: copies beyond the
+    /// queue depth are dropped and counted, the rest are queued as one
+    /// run.
+    ///
+    /// # Errors
+    ///
+    /// * [`NetError::BusOff`] if the sender is bus-off (nothing queued).
+    /// * [`NetError::TxQueueFull`] if at least one copy was dropped.
+    pub fn submit_run(
+        &mut self,
+        frame: CanFrame,
+        count: u32,
+        now: SimTime,
+    ) -> Result<(), NetError> {
         if self.error_state(frame.sender()) == NodeErrorState::BusOff {
             return Err(NetError::BusOff { node: Arc::clone(&frame.sender) });
         }
@@ -226,77 +266,122 @@ impl CanBus {
             Some(queue) => queue,
             None => self.queues.entry(Arc::clone(&frame.sender)).or_default(),
         };
-        if queue.len() >= self.config.tx_queue_depth {
-            self.stats.dropped += 1;
-            self.obs.counter("net.can.dropped", 1);
-            return Err(NetError::TxQueueFull { node: Arc::clone(&frame.sender) });
+        let room = self.config.tx_queue_depth.saturating_sub(queue.frames);
+        let accepted = u32::try_from(room).unwrap_or(u32::MAX).min(count);
+        let dropped = count - accepted;
+        let result = if dropped > 0 {
+            self.stats.dropped += u64::from(dropped);
+            self.obs.counter("net.can.dropped", u64::from(dropped));
+            Err(NetError::TxQueueFull { node: Arc::clone(&frame.sender) })
+        } else {
+            Ok(())
+        };
+        if accepted > 0 {
+            queue.frames += accepted as usize;
+            queue.runs.push_back(QueuedRun { frame, ready: now, count: accepted });
+            self.stats.submitted += u64::from(accepted);
+            self.obs.counter("net.can.submitted", u64::from(accepted));
         }
-        queue.push_back(QueuedFrame { frame, ready: now });
-        self.stats.submitted += 1;
-        self.obs.counter("net.can.submitted", 1);
-        Ok(())
+        result
+    }
+
+    /// The bus time of one `frame`.
+    fn frame_time(&self, frame: &CanFrame) -> Ftti {
+        Ftti::from_micros(
+            u64::from(frame.wire_bits()) * 1_000_000 / u64::from(self.config.bitrate_bps),
+        )
     }
 
     /// Runs arbitration and transmission up to virtual time `now`,
-    /// returning completed deliveries in bus order.
+    /// returning completed runs in bus order.
+    pub fn advance(&mut self, now: SimTime) -> Vec<CanDelivery> {
+        let mut deliveries = Vec::new();
+        self.advance_into(now, &mut deliveries);
+        deliveries
+    }
+
+    /// [`CanBus::advance`] writing into a caller-owned buffer, which is
+    /// cleared first.
     ///
     /// At each bus-idle instant every node's queue head with `ready ≤` the
     /// bus cursor contends; the lowest CAN identifier wins (ties broken by
     /// node name, deterministically). A frame only completes if its full
     /// transmission fits before `now`.
-    pub fn advance(&mut self, now: SimTime) -> Vec<CanDelivery> {
-        let mut deliveries = Vec::new();
+    ///
+    /// A winning run keeps the bus frame after frame until its end, the
+    /// first frame that would not fit before `now`, or the first frame
+    /// boundary at which a higher-priority head of another node is ready.
+    /// Those frames are delivered as one [`CanDelivery`]; expanding every
+    /// run gives exactly the frame-by-frame arbitration.
+    pub fn advance_into(&mut self, now: SimTime, deliveries: &mut Vec<CanDelivery>) {
+        deliveries.clear();
+        let mut delivered = 0u64;
         loop {
             // Earliest instant any frame is ready.
-            let min_ready = self.queues.values().filter_map(|q| q.front()).map(|q| q.ready).min();
-            let Some(min_ready) = min_ready else { break };
-            if self.cursor < min_ready {
-                self.cursor = min_ready;
-            }
+            let heads = self.queues.iter().filter_map(|(node, q)| Some((node, q.runs.front()?)));
+            let Some(min_ready) = heads.clone().map(|(_, run)| run.ready).min() else { break };
+            self.cursor = self.cursor.max(min_ready);
             if self.cursor >= now {
                 break;
             }
             // Contenders: queue heads ready at the cursor; lowest ID wins.
-            let winner_node = self
-                .queues
-                .iter()
-                .filter_map(|(node, q)| {
-                    q.front().filter(|f| f.ready <= self.cursor).map(|f| (f.frame.id(), node))
-                })
-                .min()
-                .map(|(_, node)| Arc::clone(node));
-            let Some(node) = winner_node else {
-                // Nothing ready at the cursor: jump to the next ready time.
-                self.cursor = min_ready.max(self.cursor);
-                if self.cursor >= now {
-                    break;
-                }
-                continue;
-            };
-            let queue = self.queues.get_mut(&node).expect("winner queue");
-            let bits = queue.front().expect("winner frame").frame.wire_bits();
-            let duration =
-                Ftti::from_micros(u64::from(bits) * 1_000_000 / u64::from(self.config.bitrate_bps));
-            let completed_at = self.cursor + duration;
-            if completed_at > now {
+            // One always exists, since the earliest head is ready.
+            let cursor = self.cursor;
+            let (winner, run_len, frame_time) = heads
+                .clone()
+                .filter(|(_, run)| run.ready <= cursor)
+                .min_by_key(|(node, run)| (run.frame.id(), *node))
+                .map(|(node, run)| ((run.frame.id(), node), run.count, self.frame_time(&run.frame)))
+                .expect("the earliest head is ready at the cursor");
+            if cursor + frame_time > now {
                 break;
             }
-            let frame = queue.pop_front().expect("winner frame").frame;
-            if queue.is_empty() {
+            // The run's next frame follows while it completes by `now`
+            // and no higher-priority head is ready at the boundary. Those
+            // heads are not ready at the cursor, or they would have won.
+            let mut count = u64::from(run_len);
+            let step = frame_time.as_micros();
+            if count > 1 && step > 0 {
+                count = count.min((now - cursor).as_micros() / step);
+                let preempt_at = heads
+                    .filter(|(node, run)| (run.frame.id(), *node) < winner)
+                    .map(|(_, run)| run.ready)
+                    .min();
+                if let Some(at) = preempt_at {
+                    count = count.min((at - cursor).as_micros().div_ceil(step));
+                }
+            }
+            let node = Arc::clone(winner.1);
+            let queue = self.queues.get_mut(&node).expect("winner queue");
+            let run = queue.runs.front_mut().expect("winner run");
+            let count = u32::try_from(count).expect("at most the run's count");
+            let frame = if count == run.count {
+                queue.runs.pop_front().expect("winner run").frame
+            } else {
+                run.count -= count;
+                run.frame.clone()
+            };
+            queue.frames -= count as usize;
+            if queue.runs.is_empty() {
                 self.queues.remove(&node);
             }
-            self.cursor = completed_at;
-            self.stats.delivered += 1;
-            // Successful transmission decrements the error counter.
+            self.cursor = cursor + frame_time.saturating_mul(u64::from(count));
+            delivered += u64::from(count);
+            // Successful transmissions decrement the error counter.
             if let Some(tec) = self.tec.get_mut(&*node) {
-                *tec = tec.saturating_sub(1);
+                *tec = tec.saturating_sub(count);
             }
-            deliveries.push(CanDelivery { frame, completed_at });
+            deliveries.push(CanDelivery {
+                frame,
+                completed_at: cursor + frame_time,
+                count,
+                frame_time,
+            });
         }
-        if !deliveries.is_empty() {
-            self.obs.counter("net.can.arbitrated", deliveries.len() as u64);
+        if delivered > 0 {
+            self.stats.delivered += delivered;
+            self.obs.counter("net.can.arbitrated", delivered);
         }
-        deliveries
     }
 
     /// Records a transmission error attributed to `node` (e.g. injected by
@@ -332,14 +417,14 @@ impl CanBus {
 
     /// Number of frames currently queued by `node`.
     pub fn queue_len(&self, node: &str) -> usize {
-        self.queues.get(node).map_or(0, VecDeque::len)
+        self.queues.get(node).map_or(0, |queue| queue.frames)
     }
 
     /// Whether no frame is queued on any node. [`CanBus::advance`] on an
     /// idle bus delivers nothing and leaves the bus unchanged, so a
     /// caller stepping in fixed ticks may skip it.
     pub fn is_idle(&self) -> bool {
-        self.queues.values().all(VecDeque::is_empty)
+        self.queues.values().all(|queue| queue.runs.is_empty())
     }
 
     /// Cumulative statistics.
@@ -512,6 +597,43 @@ mod tests {
             bus.report_error("m");
         }
         assert!(bus.is_idle());
+    }
+
+    #[test]
+    fn a_run_yields_the_bus_at_the_first_boundary_a_higher_priority_head_is_ready() {
+        // 111 bits at 500 kbit/s = 222 us per frame.
+        let mut bus = CanBus::new(CanBusConfig::default());
+        bus.submit_run(frame(0x300, "flood"), 5, SimTime::ZERO).unwrap();
+        bus.submit(frame(0x100, "lock"), SimTime::from_micros(300)).unwrap();
+        let mut deliveries = Vec::new();
+        bus.advance_into(SimTime::from_millis(10), &mut deliveries);
+        let runs: Vec<_> =
+            deliveries.iter().map(|d| (d.frame.sender(), d.count, d.completed_at)).collect();
+        assert_eq!(
+            runs,
+            [
+                ("flood", 2, SimTime::from_micros(222)),
+                ("lock", 1, SimTime::from_micros(666)),
+                ("flood", 3, SimTime::from_micros(888)),
+            ]
+        );
+        let last: Vec<_> = deliveries[2].completion_times().collect();
+        assert_eq!(last, [888, 1_110, 1_332].map(SimTime::from_micros));
+        assert_eq!(bus.stats().delivered, 6);
+    }
+
+    #[test]
+    fn a_run_past_the_queue_depth_is_cut_and_counted() {
+        let mut bus = CanBus::new(CanBusConfig { bitrate_bps: 500_000, tx_queue_depth: 4 });
+        bus.submit(frame(1, "n"), SimTime::ZERO).unwrap();
+        let err = bus.submit_run(frame(1, "n"), 5, SimTime::ZERO).unwrap_err();
+        assert!(matches!(err, NetError::TxQueueFull { .. }));
+        assert_eq!(bus.queue_len("n"), 4);
+        assert_eq!((bus.stats().submitted, bus.stats().dropped), (4, 2));
+        // A run that stops at `now` leaves the rest queued.
+        let deliveries = bus.advance(SimTime::from_micros(500));
+        assert_eq!(deliveries.iter().map(|d| d.count).sum::<u32>(), 2);
+        assert_eq!(bus.queue_len("n"), 2);
     }
 
     #[test]

@@ -28,9 +28,9 @@ use security_controls::controls::{
     ReplayDetector,
 };
 use security_controls::mac::{MacKey, Tag};
-use security_controls::{ControlStack, Envelope, SecurityControl, SecurityLog};
+use security_controls::{ControlStack, Envelope, SecurityLog};
 use vehicle_net::ble::{BleConfig, BleLink};
-use vehicle_net::can::{CanBus, CanBusConfig, CanFrame, CanId};
+use vehicle_net::can::{CanBus, CanBusConfig, CanDelivery, CanFrame, CanId};
 
 use crate::config::ControlSelection;
 use crate::kernel::EventQueue;
@@ -193,11 +193,12 @@ pub struct KeylessWorld {
     config_key: MacKey,
     forward_limiter: Option<FloodDetector>,
     owner_script: EventQueue<OwnerAction>,
-    /// Reusable scratch buffers for the per-tick link poll and owner
-    /// script drain; keeping them on the world removes the per-tick
-    /// allocations from the steady-state step loop.
+    /// Reusable scratch buffers for the per-tick link poll, owner
+    /// script drain and bus deliveries; keeping them on the world
+    /// removes the per-tick allocations from the steady-state step loop.
     frame_buf: Vec<vehicle_net::ble::BleFrame>,
     action_buf: Vec<OwnerAction>,
+    delivery_buf: Vec<CanDelivery>,
     lock_open: bool,
     transitions: u32,
     opened_at: Option<SimTime>,
@@ -272,6 +273,7 @@ impl KeylessWorld {
             owner_script: EventQueue::new(),
             frame_buf: Vec::new(),
             action_buf: Vec::new(),
+            delivery_buf: Vec::new(),
             lock_open: false,
             transitions: 0,
             opened_at: None,
@@ -409,6 +411,22 @@ impl KeylessWorld {
     /// `Arc<str>` and its payload as [`Bytes`] sends without allocating:
     /// the link frame shares both, the sniffed entry shares the payload.
     pub fn send_ble(&mut self, sender: impl Into<Arc<str>>, payload: impl Into<Bytes>) {
+        self.send_ble_burst(sender, payload, 1);
+    }
+
+    /// Sends `count` copies of a payload at once, exactly as `count`
+    /// calls of [`KeylessWorld::send_ble`] would: the link makes each
+    /// copy's loss draw, and the sniffed feed records every copy. The
+    /// copies that survive travel, and reach the gateway, as one burst.
+    pub fn send_ble_burst(
+        &mut self,
+        sender: impl Into<Arc<str>>,
+        payload: impl Into<Bytes>,
+        count: u32,
+    ) {
+        if count == 0 {
+            return;
+        }
         let sender = sender.into();
         if !self.link.is_connected() {
             self.link.start_advertising(self.now);
@@ -417,11 +435,21 @@ impl KeylessWorld {
             }
         }
         let payload = payload.into();
-        match self.sniffed.last_mut() {
-            Some((last, sends)) if *last == payload && *sends < u32::MAX => *sends += 1,
-            _ => self.sniffed.push((payload.clone(), 1)),
+        let mut unrecorded = count;
+        while unrecorded > 0 {
+            match self.sniffed.last_mut() {
+                Some((last, sends)) if *last == payload && *sends < u32::MAX => {
+                    let added = unrecorded.min(u32::MAX - *sends);
+                    *sends += added;
+                    unrecorded -= added;
+                }
+                _ => {
+                    self.sniffed.push((payload.clone(), unrecorded));
+                    unrecorded = 0;
+                }
+            }
         }
-        let _ = self.link.send(sender, payload, self.now);
+        let _ = self.link.send_burst(sender, payload, count, self.now);
     }
 
     /// Builds a fully credentialed command as the owner's phone would.
@@ -463,22 +491,9 @@ impl KeylessWorld {
             }
             let Some(command) = Command::decode(&frame.payload) else { continue };
             if command.cmd == CMD_SERVICE {
-                // Forwarded service traffic: subject only to the gateway
-                // rate limiter, then placed on the CAN bus as diagnostic
-                // frames (the §IV-B flooding path).
-                if let Some(limiter) = &mut self.forward_limiter {
-                    let env = Envelope::new(Arc::clone(&frame.sender), frame.sent_at, Vec::new());
-                    if limiter.check(&env, self.now).is_err() {
-                        continue;
-                    }
-                }
-                let diag = CanFrame::new(
-                    CanId::new(CAN_DIAG).expect("const id"),
-                    Bytes::from_static(&[CMD_SERVICE]),
-                    Arc::clone(&self.gateway_node),
-                )
-                .expect("diag frame");
-                let _ = self.can.submit(diag, self.now);
+                // Service requests never reach the control stack, so
+                // nothing isolates the sender part-way through a burst.
+                self.forward_service(&frame.sender, frame.count);
                 continue;
             }
             let mut envelope = Envelope::new(
@@ -493,25 +508,56 @@ impl KeylessWorld {
             if command.response != 0 {
                 envelope = envelope.with_challenge_response(Tag::from_raw(command.response));
             }
-            if !self.stack.admit(&envelope, self.now).is_accepted() {
-                continue;
+            // Commands pass the stack one frame at a time.
+            for _ in 0..frame.count {
+                if self.stack.admit(&envelope, self.now).is_accepted() {
+                    let lock_cmd = CanFrame::new(
+                        CanId::new(CAN_LOCK_CMD).expect("const id"),
+                        Bytes::copy_from_slice(&[command.cmd]),
+                        Arc::clone(&self.gateway_node),
+                    )
+                    .expect("lock frame");
+                    let _ = self.can.submit(lock_cmd, self.now);
+                } else if self.stack.is_isolated(&frame.sender) {
+                    // The rejection isolated the sender, and isolation is
+                    // one-way: the burst's other frames are dropped unread.
+                    break;
+                }
             }
-            let lock_cmd = CanFrame::new(
-                CanId::new(CAN_LOCK_CMD).expect("const id"),
-                Bytes::copy_from_slice(&[command.cmd]),
-                Arc::clone(&self.gateway_node),
-            )
-            .expect("lock frame");
-            let _ = self.can.submit(lock_cmd, self.now);
         }
         self.frame_buf = frames;
     }
 
+    /// Forwards `count` service requests from `sender`: subject only to
+    /// the gateway rate limiter, then placed on the CAN bus as one run of
+    /// diagnostic frames (the §IV-B flooding path).
+    fn forward_service(&mut self, sender: &Arc<str>, count: u32) {
+        let admitted = match &mut self.forward_limiter {
+            Some(limiter) => limiter.admit(sender, self.now, count as usize) as u32,
+            None => count,
+        };
+        if admitted == 0 {
+            return;
+        }
+        let diag = CanFrame::new(
+            CanId::new(CAN_DIAG).expect("const id"),
+            Bytes::from_static(&[CMD_SERVICE]),
+            Arc::clone(&self.gateway_node),
+        )
+        .expect("diag frame");
+        let _ = self.can.submit_run(diag, admitted, self.now);
+    }
+
     fn actuator_tick(&mut self) {
-        for delivery in self.can.advance(self.now) {
+        let mut deliveries = std::mem::take(&mut self.delivery_buf);
+        self.can.advance_into(self.now, &mut deliveries);
+        for delivery in deliveries.drain(..) {
             if delivery.frame.id().raw() != CAN_LOCK_CMD {
                 continue;
             }
+            // A run repeats one lock command, and a command that finds
+            // the lock already in its state does nothing: only the run's
+            // first frame can actuate.
             match delivery.frame.payload().first() {
                 Some(&CMD_OPEN) if !self.lock_open => {
                     self.lock_open = true;
@@ -539,6 +585,7 @@ impl KeylessWorld {
                 _ => {}
             }
         }
+        self.delivery_buf = deliveries;
     }
 
     fn finish(self) -> KeylessOutcome {

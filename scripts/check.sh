@@ -39,6 +39,11 @@ echo "==> unread flood path: equivalence proptests in release, 256 cases"
 # PROPTEST_CASES; tier-1 runs them with the default 64 cases.
 PROPTEST_CASES=256 cargo test -q --release --test unread_flood_equivalence
 
+echo "==> burst flood path: equivalence proptests in release, 256 cases"
+# AD14's bursts against per-message sends, and the run-carrying CAN bus
+# against a copy of the frame-by-frame arbitration loop.
+PROPTEST_CASES=256 cargo test -q --release --test burst_flood_equivalence
+
 echo "==> JSON writer: equivalence proptest in release, 1024 cases"
 # The streaming writer against a copy of the Value-tree walkers it
 # replaced, over random trees; default config, so PROPTEST_CASES applies.
