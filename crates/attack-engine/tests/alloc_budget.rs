@@ -5,16 +5,20 @@
 //! messages per case. The attacks build their sender identity and
 //! payloads once, and the networks, controls and worlds share them.
 //! AD20's messages to a shut-down OBU or from an isolated sender are
-//! unread: only their channel draws are made, nothing is built. AD14's
+//! unread: each tick's go to the V2X channel as one burst, which makes
+//! their draws and queues one entry, and nothing is built. AD14's
 //! requests travel as one burst per tick through the BLE link, the
 //! gateway's rate limiter and the CAN bus, whose deliveries land in a
 //! buffer the world keeps. A whole AD20 case therefore allocates a few
-//! thousand times (about 2 k and 4 k) and a whole AD14 case a few dozen
-//! times (48 and 81), not once or more per message, which would put
-//! AD20 near 200 k and AD14 near 90 k. The bounds, 10 k per AD20 case
-//! and about three times the measured count per AD14 case (150 and
-//! 250), sit well below that; a per-message or per-tick allocation
-//! that creeps back in fails them.
+//! thousand times (2 158 and 4 210, almost none of it for unread
+//! messages: pushing each unread arrival onto a vector made it 2 163
+//! and 4 215) and a whole AD14 case a few dozen times (48 and 81), not
+//! once or more per message, which
+//! would put AD20 near 200 k and AD14 near 90 k. The bounds sit well
+//! below that: about three times the measured count, except for AD20
+//! with the message counter, whose bound stays at the 10 k it had
+//! before (2.4 times), so no bound was loosened. A per-message or
+//! per-tick allocation that creeps back in fails them.
 //!
 //! This file is its own test binary because it installs a counting
 //! global allocator. Counting is switched on per thread, so allocations
@@ -100,7 +104,7 @@ fn assert_budget(cases: &[TestCase], budgets: [u64; 2]) {
 
 #[test]
 fn ad20_flood_cases_stay_within_allocation_budget() {
-    assert_budget(&ad20_cases(), [10_000, 10_000]);
+    assert_budget(&ad20_cases(), [6_500, 10_000]);
 }
 
 #[test]

@@ -42,8 +42,15 @@
 //! running past the end of the file), so a crash mid-append loses at
 //! most the record being written and never an earlier one. After the
 //! scan, every segment that holds complete records but no indexed one
-//! is deleted, except the newest, which another process may still be
-//! appending to.
+//! is deleted, except the newest and every segment another cache is
+//! still appending to.
+//!
+//! On Unix a cache holds an exclusive advisory lock ([`File::try_lock`])
+//! on the segment it appends to from the moment it creates it, and
+//! drops it when the segment rolls over or the cache closes (a crash
+//! drops it too). Opening and eviction delete only segments whose lock
+//! they can take, so several caches, in one process or many, may share
+//! a directory without deleting a segment under a live writer.
 //!
 //! A lookup that misses the index costs no syscall. A hit is one
 //! positioned read of header plus payload on the segment's kept-open
@@ -60,15 +67,17 @@
 //! With [`ResultCache::with_disk_cap`], the disk tier bounds its payload
 //! bytes: the segment being appended to rolls over once it holds a
 //! quarter of the cap, and after each insert whole segments are deleted
-//! oldest-first while the total exceeds the cap. The segment being
-//! appended to is never deleted, so the newest entry is always kept and
-//! a single payload larger than the cap still caches; the cap is a bound
-//! on steady-state growth, not a hard invariant.
+//! oldest-first while the total exceeds the cap. A segment being
+//! appended to, by this cache or another, is never deleted, so the
+//! newest entry is always kept and a single payload larger than the cap
+//! still caches; the cap is a bound on steady-state growth, not a hard
+//! invariant.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::ffi::OsStr;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufReader, IoSlice, Read, Write};
+use std::ops::Bound;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -409,9 +418,9 @@ impl DiskTier {
     ///
     /// A segment whose complete records are all superseded or written
     /// under another code version is dead: nothing will ever be served
-    /// from it, so it is deleted. The newest segment and segments without
-    /// a complete record are kept, because another process may be
-    /// appending to them.
+    /// from it, so it is deleted. The newest segment, segments without a
+    /// complete record and segments another cache holds locked are kept,
+    /// because their writer may still append to them.
     fn open(dir: PathBuf, version_hash: u64) -> Self {
         let mut tier = DiskTier {
             dir,
@@ -449,12 +458,23 @@ impl DiskTier {
         }
         let live: BTreeSet<u32> = tier.index.values().map(|slot| slot.segment).collect();
         for number in with_records {
-            if !live.contains(&number) && Some(&number) != numbers.last() {
+            if !live.contains(&number)
+                && Some(&number) != numbers.last()
+                && unlocked(&tier.segments[&number].file)
+            {
                 tier.segments.remove(&number);
                 let _ = fs::remove_file(tier.segment_path(number));
             }
         }
         tier
+    }
+
+    /// Stops appending to the active segment and releases its lock, so
+    /// other caches may delete it once it is dead or over the cap.
+    fn retire_active(&mut self) {
+        if let Some((number, _)) = self.active.take() {
+            unlock_segment(&self.segments[&number].file);
+        }
     }
 
     fn segment_path(&self, number: u32) -> PathBuf {
@@ -500,7 +520,7 @@ impl DiskTier {
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "payload over 4 GiB"))?;
         if let (Some(cap), Some((number, _))) = (self.cap, self.active) {
             if self.segments[&number].payload_bytes >= cap / 4 {
-                self.active = None;
+                self.retire_active();
             }
         }
         let (number, end) = match self.active {
@@ -517,7 +537,7 @@ impl DiskTier {
         if let Err(e) = write_record(&segment.file, &header.encode(), payload) {
             // The segment may now end in a torn record; later appends
             // behind it would be unreachable to the next open's scan.
-            self.active = None;
+            self.retire_active();
             return Err(e);
         }
         segment.payload_bytes += u64::from(len);
@@ -526,8 +546,11 @@ impl DiskTier {
         Ok(())
     }
 
-    /// Creates this process's next segment, skipping numbers that are
-    /// already taken, and makes it the active one.
+    /// Creates this cache's next segment, skipping numbers that are
+    /// already taken, locks it and makes it the active one. Nothing is
+    /// written to it before the lock is held, and opening never deletes
+    /// a segment without a complete record, so no other cache can delete
+    /// it in between.
     fn create_segment(&mut self) -> io::Result<(u32, u64)> {
         fs::create_dir_all(&self.dir)?;
         loop {
@@ -542,6 +565,7 @@ impl DiskTier {
                 .open(self.segment_path(number));
             match created {
                 Ok(file) => {
+                    lock_segment(&file);
                     self.segments
                         .insert(number, Segment { file: Arc::new(file), payload_bytes: 0 });
                     self.active = Some((number, 0));
@@ -554,19 +578,28 @@ impl DiskTier {
     }
 
     /// Enforces the byte cap: deletes whole segments oldest-first while
-    /// the payload bytes exceed it, never the active segment. Returns the
-    /// number of index entries dropped.
+    /// the payload bytes exceed it, skipping the active segment and every
+    /// segment another cache holds locked. Returns the number of index
+    /// entries dropped.
     fn evict(&mut self) -> u64 {
         let Some(cap) = self.cap else { return 0 };
         let active = self.active.map(|(number, _)| number);
         let mut total: u64 = self.segments.values().map(|segment| segment.payload_bytes).sum();
         let mut dropped = 0;
+        let mut after = None;
         while total > cap {
-            let Some((&oldest, _)) = self.segments.first_key_value() else { break };
-            if Some(oldest) == active {
-                break;
+            let next = match after {
+                None => self.segments.iter().next(),
+                Some(after) => {
+                    self.segments.range((Bound::Excluded(after), Bound::Unbounded)).next()
+                }
+            };
+            let Some((&oldest, segment)) = next else { break };
+            after = Some(oldest);
+            if Some(oldest) == active || !unlocked(&segment.file) {
+                continue;
             }
-            let segment = self.segments.remove(&oldest).expect("first key is present");
+            let segment = self.segments.remove(&oldest).expect("the key was just found");
             total -= segment.payload_bytes;
             let before = self.index.len();
             self.index.retain(|_, slot| slot.segment != oldest);
@@ -575,6 +608,31 @@ impl DiskTier {
         }
         dropped
     }
+}
+
+/// Locks the segment `file` for the cache about to append to it. The
+/// locks are Unix `flock`s, which are advisory: other caches still read
+/// the segment. Elsewhere a lock would block their reads too, so no
+/// segment is locked there and only the newest-segment rule protects a
+/// writer. Without lock support the segment stays unlocked likewise.
+fn lock_segment(file: &File) {
+    if cfg!(unix) {
+        let _ = file.try_lock();
+    }
+}
+
+/// Releases [`lock_segment`]'s lock.
+fn unlock_segment(file: &File) {
+    if cfg!(unix) {
+        let _ = file.unlock();
+    }
+}
+
+/// Whether no other cache holds the segment `file` locked. Takes the
+/// lock and keeps it, so the caller must be about to close the handle.
+/// A failure to lock reads as held, which keeps the segment.
+fn unlocked(file: &File) -> bool {
+    !cfg!(unix) || file.try_lock().is_ok()
 }
 
 /// Writes `header` then `payload` with one vectored write, finishing
@@ -962,6 +1020,61 @@ mod tests {
         assert!(dir.join("notes.bin").exists());
         assert_eq!(raw_get(&cache, 9), None);
         assert_eq!(raw_get(&cache, 1), Some((b"one".to_vec(), CacheTier::Disk)));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    #[cfg(unix)]
+    fn opening_keeps_a_superseded_segment_another_cache_appends_to() {
+        let dir = temp_dir();
+        let a = ResultCache::new(1, Some(dir.clone()));
+        a.insert(1, b"a1");
+        let b = ResultCache::new(1, Some(dir.clone()));
+        b.insert(1, b"b1");
+        // Segment 0 holds only a superseded record and is not the newest,
+        // but A still appends to it.
+        let third = ResultCache::new(1, Some(dir.clone()));
+        assert_eq!(segment_files(&dir).len(), 2, "A's segment is kept");
+        a.insert(2, b"a2");
+        let fourth = ResultCache::new(1, Some(dir.clone()));
+        assert_eq!(raw_get(&fourth, 2), Some((b"a2".to_vec(), CacheTier::Disk)));
+        assert_eq!(raw_get(&fourth, 1), Some((b"b1".to_vec(), CacheTier::Disk)));
+        drop((a, b, third, fourth));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    #[cfg(unix)]
+    fn eviction_skips_a_segment_another_cache_appends_to() {
+        let dir = temp_dir();
+        let a = ResultCache::new(1, Some(dir.clone())).with_disk_cap(Some(400));
+        a.insert(1, &[1u8; 10]);
+        let b = ResultCache::new(1, Some(dir.clone())).with_disk_cap(Some(400));
+        for key in 2..6 {
+            b.insert(key, &[key as u8; 100]);
+        }
+        assert!(b.stats.evicted.load(Ordering::Relaxed) > 0, "B evicted its own segments");
+        assert!(dir.join("00000000.seg").exists(), "A's active segment is kept");
+        a.insert(6, &[6u8; 10]);
+        let reader = ResultCache::new(1, Some(dir.clone()));
+        assert_eq!(raw_get(&reader, 6), Some(([6u8; 10].to_vec(), CacheTier::Disk)));
+        assert_eq!(raw_get(&reader, 1), Some(([1u8; 10].to_vec(), CacheTier::Disk)));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    #[cfg(unix)]
+    fn a_rolled_over_segment_is_unlocked() {
+        let dir = temp_dir();
+        // A 40-byte cap rolls the segment over once it holds 10 bytes.
+        let cache = ResultCache::new(1, Some(dir.clone())).with_disk_cap(Some(40));
+        cache.insert(1, &[1u8; 16]);
+        cache.insert(2, &[2u8; 16]);
+        let [rolled, active] = &segment_files(&dir)[..] else { panic!("two segments expected") };
+        assert!(File::open(rolled).unwrap().try_lock().is_ok(), "rolled segment is unlocked");
+        assert!(File::open(active).unwrap().try_lock().is_err(), "active segment is locked");
+        drop(cache);
+        assert!(File::open(active).unwrap().try_lock().is_ok(), "closing drops the lock");
         fs::remove_dir_all(&dir).unwrap();
     }
 

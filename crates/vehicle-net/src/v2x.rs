@@ -139,19 +139,100 @@ pub struct V2xChannel {
     config: V2xConfig,
     rng: StdRng,
     in_flight: Vec<(SimTime, V2xMessage)>,
-    /// Arrival times of unread messages ([`V2xChannel::broadcast_unread`]):
-    /// only their reception is left to count.
-    unread_in_flight: Vec<SimTime>,
+    /// Unread messages in flight ([`V2xChannel::broadcast_unread_burst`]),
+    /// one entry per burst: only their reception is left to count.
+    unread: Vec<UnreadBurst>,
     jam_until: Option<SimTime>,
     stats: V2xStats,
     obs: Obs,
 }
 
+/// The arrivals of one unread burst still to count. They are not
+/// stored: replaying the burst's draws from the RNG state it was sent
+/// with recovers each one exactly, which a poll needs only when its
+/// cut-off or the jam deadline falls inside the pending span.
+#[derive(Debug, Clone)]
+struct UnreadBurst {
+    /// The channel RNG before the burst's first draw.
+    rng: StdRng,
+    /// The send instant.
+    sent_at: SimTime,
+    /// Messages sent, lost ones included: a replay redraws them all.
+    sent: u32,
+    /// Arrivals not yet counted.
+    pending: u32,
+    /// The earliest pending arrival; every earlier one has been counted.
+    first: SimTime,
+    /// The latest arrival.
+    last: SimTime,
+}
+
+impl UnreadBurst {
+    /// Counts the pending arrivals due at `now` as delivered or jammed
+    /// (an arrival before `jam_until` is jammed) and returns
+    /// `(delivered, jammed)`. Arrivals after `now` stay pending.
+    fn count_due(
+        &mut self,
+        now: SimTime,
+        jam_until: Option<SimTime>,
+        config: &V2xConfig,
+    ) -> (u64, u64) {
+        let pending = u64::from(self.pending);
+        if self.last <= now {
+            match jam_until {
+                Some(until) if until > self.last => {
+                    self.pending = 0;
+                    return (0, pending);
+                }
+                Some(until) if until > self.first => {}
+                _ => {
+                    self.pending = 0;
+                    return (pending, 0);
+                }
+            }
+        }
+        let (mut delivered, mut jammed) = (0, 0);
+        let (counted_before, mut first) = (self.first, SimTime::MAX);
+        let mut rng = self.rng.clone();
+        self.pending = 0;
+        for _ in 0..self.sent {
+            let Some(jitter) = draw_jitter(&mut rng, config.loss_prob, config.jitter_us) else {
+                continue;
+            };
+            let arrival = self.sent_at + Ftti::from_micros(config.latency_us + jitter);
+            if arrival < counted_before {
+                // Counted at an earlier poll.
+            } else if arrival > now {
+                self.pending += 1;
+                first = first.min(arrival);
+            } else if jam_until.is_some_and(|until| arrival < until) {
+                jammed += 1;
+            } else {
+                delivered += 1;
+            }
+        }
+        debug_assert_eq!(delivered + jammed + u64::from(self.pending), pending);
+        self.first = first;
+        (delivered, jammed)
+    }
+}
+
+/// One message's channel draws: the loss draw, then, unless it hits,
+/// the jitter draw. Returns the jitter, or `None` for a lost message.
+#[inline]
+fn draw_jitter(rng: &mut StdRng, loss_prob: f64, jitter_us: u64) -> Option<u64> {
+    if loss_prob > 0.0 && rng.random_bool(loss_prob) {
+        return None;
+    }
+    Some(if jitter_us == 0 { 0 } else { rng.random_range(0..=jitter_us) })
+}
+
 impl std::fmt::Debug for V2xChannel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let unread: u64 = self.unread.iter().map(|burst| u64::from(burst.pending)).sum();
         f.debug_struct("V2xChannel")
             .field("in_flight", &self.in_flight.len())
-            .field("unread_in_flight", &self.unread_in_flight.len())
+            .field("unread_in_flight", &unread)
             .field("jam_until", &self.jam_until)
             .field("stats", &self.stats)
             .finish()
@@ -169,7 +250,7 @@ impl V2xChannel {
             config,
             rng: StdRng::seed_from_u64(seed),
             in_flight: Vec::new(),
-            unread_in_flight: Vec::new(),
+            unread: Vec::new(),
             jam_until: None,
             stats: V2xStats::default(),
             obs: Obs::noop(),
@@ -190,27 +271,6 @@ impl V2xChannel {
     /// Broadcasts a message at `now`. Returns the scheduled arrival time,
     /// or `None` if the frame was lost (random loss or jamming).
     pub fn broadcast(&mut self, msg: V2xMessage, now: SimTime) -> Option<SimTime> {
-        let arrival = self.draw_arrival(now)?;
-        self.in_flight.push((arrival, msg));
-        Some(arrival)
-    }
-
-    /// Broadcasts, at `now`, a message its receiver will certainly drop on
-    /// arrival. The channel makes the same send-time decisions and RNG
-    /// draws as [`V2xChannel::broadcast`], in the same order, and counts
-    /// the arrival as delivered or jammed exactly as it would count the
-    /// message's, but keeps no message: [`V2xChannel::poll`] never returns
-    /// one for it.
-    pub fn broadcast_unread(&mut self, now: SimTime) -> Option<SimTime> {
-        let arrival = self.draw_arrival(now)?;
-        self.unread_in_flight.push(arrival);
-        Some(arrival)
-    }
-
-    /// The send-time part of a broadcast: counts the frame, drops it when
-    /// the channel is jammed or the loss draw hits, and otherwise draws
-    /// its jitter and returns its arrival time.
-    fn draw_arrival(&mut self, now: SimTime) -> Option<SimTime> {
         self.stats.sent += 1;
         self.obs.counter("net.v2x.sent", 1);
         if self.is_jammed(now) {
@@ -218,17 +278,71 @@ impl V2xChannel {
             self.obs.counter("net.v2x.jammed", 1);
             return None;
         }
-        if self.config.loss_prob > 0.0 && self.rng.random_bool(self.config.loss_prob) {
+        let Some(jitter) = draw_jitter(&mut self.rng, self.config.loss_prob, self.config.jitter_us)
+        else {
             self.stats.lost += 1;
             self.obs.counter("net.v2x.lost", 1);
             return None;
-        }
-        let jitter = if self.config.jitter_us == 0 {
-            0
-        } else {
-            self.rng.random_range(0..=self.config.jitter_us)
         };
-        Some(now + Ftti::from_micros(self.config.latency_us + jitter))
+        let arrival = now + Ftti::from_micros(self.config.latency_us + jitter);
+        self.in_flight.push((arrival, msg));
+        Some(arrival)
+    }
+
+    /// Broadcasts, at `now`, a message its receiver will certainly drop on
+    /// arrival: [`V2xChannel::broadcast_unread_burst`] of one message.
+    /// Returns the scheduled arrival time, or `None` if the frame was lost.
+    pub fn broadcast_unread(&mut self, now: SimTime) -> Option<SimTime> {
+        (self.broadcast_unread_burst(1, now) == 1)
+            .then(|| self.unread.last().expect("the burst was just queued").first)
+    }
+
+    /// Broadcasts, at `now`, `count` messages their receiver will
+    /// certainly drop on arrival. The channel makes the send-time
+    /// decisions and RNG draws `count` calls of
+    /// [`V2xChannel::broadcast`] would make, in the same order, and
+    /// counts each arrival as delivered or jammed exactly as it would
+    /// count the message's, but keeps no message: [`V2xChannel::poll`]
+    /// never returns one for them. The burst is counted once and travels
+    /// as one in-flight entry. Returns how many of its messages are in
+    /// flight, i.e. neither lost nor jammed at send.
+    pub fn broadcast_unread_burst(&mut self, count: u32, now: SimTime) -> u32 {
+        if count == 0 {
+            return 0;
+        }
+        self.stats.sent += u64::from(count);
+        self.obs.counter("net.v2x.sent", u64::from(count));
+        if self.is_jammed(now) {
+            self.stats.jammed += u64::from(count);
+            self.obs.counter("net.v2x.jammed", u64::from(count));
+            return 0;
+        }
+        let rng = self.rng.clone();
+        let V2xConfig { latency_us, jitter_us, loss_prob } = self.config;
+        let (mut arrived, mut min, mut max) = (0, u64::MAX, 0);
+        for _ in 0..count {
+            if let Some(jitter) = draw_jitter(&mut self.rng, loss_prob, jitter_us) {
+                arrived += 1;
+                min = min.min(jitter);
+                max = max.max(jitter);
+            }
+        }
+        let lost = count - arrived;
+        if lost > 0 {
+            self.stats.lost += u64::from(lost);
+            self.obs.counter("net.v2x.lost", u64::from(lost));
+        }
+        if arrived > 0 {
+            self.unread.push(UnreadBurst {
+                rng,
+                sent_at: now,
+                sent: count,
+                pending: arrived,
+                first: now + Ftti::from_micros(latency_us + min),
+                last: now + Ftti::from_micros(latency_us + max),
+            });
+        }
+        arrived
     }
 
     /// Returns messages whose arrival time is `≤ now`, in arrival order.
@@ -258,16 +372,14 @@ impl V2xChannel {
             }
         }
         let mut unread_delivered = 0;
-        self.unread_in_flight.retain(|&arrival| {
-            if arrival > now {
-                return true;
+        let (jam_until, config) = (self.jam_until, &self.config);
+        self.unread.retain_mut(|burst| {
+            if burst.first <= now {
+                let (arrived, lost_to_jam) = burst.count_due(now, jam_until, config);
+                unread_delivered += arrived;
+                jammed += lost_to_jam;
             }
-            if self.jam_until.is_some_and(|until| arrival < until) {
-                jammed += 1;
-            } else {
-                unread_delivered += 1;
-            }
-            false
+            burst.pending > 0
         });
         if jammed > 0 {
             self.stats.jammed += jammed;
@@ -299,7 +411,7 @@ impl V2xChannel {
     /// the channel unchanged, so a caller stepping in fixed ticks may skip
     /// it.
     pub fn is_idle(&self) -> bool {
-        self.in_flight.is_empty() && self.unread_in_flight.is_empty()
+        self.in_flight.is_empty() && self.unread.is_empty()
     }
 
     /// Cumulative statistics.
@@ -389,12 +501,20 @@ mod tests {
     fn poll_orders_by_arrival() {
         let config = V2xConfig { latency_us: 1_000, jitter_us: 900, loss_prob: 0.0 };
         let mut ch = V2xChannel::new(config, 3);
-        for i in 0..10 {
-            ch.broadcast(msg(&format!("S{i}"), SimTime::ZERO), SimTime::ZERO);
-        }
-        let _delivered = ch.poll(SimTime::from_secs(1));
-        // Internal in-flight list was sorted; deliveries happen in arrival
-        // order which we can't observe directly here, but stats must add up.
+        let mut expected: Vec<(SimTime, String)> = (0..10)
+            .map(|i| {
+                let sender = format!("S{i}");
+                let arrival = ch.broadcast(msg(&sender, SimTime::ZERO), SimTime::ZERO).unwrap();
+                (arrival, sender)
+            })
+            .collect();
+        assert!(!expected.is_sorted(), "jitter must reorder the sends for the test to bite");
+        // Ties keep their send order.
+        expected.sort_by_key(|(arrival, _)| *arrival);
+        let delivered: Vec<String> =
+            ch.poll(SimTime::from_secs(1)).iter().map(|m| m.sender().to_owned()).collect();
+        let expected: Vec<String> = expected.into_iter().map(|(_, sender)| sender).collect();
+        assert_eq!(delivered, expected);
         assert_eq!(ch.stats().delivered, 10);
     }
 
@@ -411,6 +531,39 @@ mod tests {
         assert_eq!(snapshot.counter("net.v2x.sent"), Some(2));
         assert_eq!(snapshot.counter("net.v2x.jammed"), Some(2));
         assert_eq!(snapshot.counter("net.v2x.delivered"), None);
+
+        // A burst's totals equal those of its messages sent one by one:
+        // some lost, some jammed at send, some jammed or delivered on
+        // arrival.
+        let config = V2xConfig { latency_us: 1_000, jitter_us: 900, loss_prob: 0.3 };
+        let totals = |burst: bool| {
+            let (obs, recorder) = Obs::memory();
+            let mut ch = V2xChannel::new(config, 11);
+            ch.set_obs(obs);
+            for (i, count) in [40u32, 25, 60].into_iter().enumerate() {
+                let now = SimTime::from_millis(3 * i as u64);
+                if i == 1 {
+                    ch.jam(SimTime::from_millis(4));
+                }
+                if burst {
+                    ch.broadcast_unread_burst(count, now);
+                } else {
+                    for _ in 0..count {
+                        ch.broadcast_unread(now);
+                    }
+                }
+                ch.poll(now + Ftti::from_micros(1_500));
+            }
+            ch.poll(SimTime::from_secs(1));
+            let snapshot = recorder.snapshot();
+            let counters: Vec<_> = ["sent", "lost", "jammed", "delivered"]
+                .map(|name| snapshot.counter(&format!("net.v2x.{name}")))
+                .into();
+            (counters, ch.stats())
+        };
+        let (per_message, stats) = totals(false);
+        assert_eq!(totals(true), (per_message.clone(), stats));
+        assert!(per_message.iter().all(|c| c.is_some_and(|n| n > 0)), "{per_message:?}");
     }
 
     #[test]

@@ -381,9 +381,10 @@ impl ConstructionWorld {
     /// A message is *unread* when the OBU will certainly drop it on
     /// arrival: its service has shut down, or `sender` is isolated.
     /// Neither state is ever undone, so the decision holds from send time
-    /// on. Unread messages are neither built nor signed; each costs only
-    /// its [`V2xChannel::broadcast_unread`] draws and counts, which keeps
-    /// the channel's RNG stream and statistics as if it had been sent.
+    /// on. Unread messages are neither built nor signed: they go to the
+    /// channel as one [`V2xChannel::broadcast_unread_burst`], which makes
+    /// each message's draws and counts, so the channel's RNG stream and
+    /// statistics stay as if every message had been sent.
     pub fn broadcast_signed(
         &mut self,
         sender: &Arc<str>,
@@ -391,9 +392,9 @@ impl ConstructionWorld {
         at: SimTime,
     ) {
         if !self.service_alive || self.stack.is_isolated(sender) {
-            for _ in payloads {
-                self.channel.broadcast_unread(at);
-            }
+            let count = payloads.into_iter().count();
+            let count = u32::try_from(count).expect("a tick's flood fits a u32 burst");
+            self.channel.broadcast_unread_burst(count, at);
             return;
         }
         for payload in payloads {

@@ -44,6 +44,11 @@ echo "==> burst flood path: equivalence proptests in release, 256 cases"
 # against a copy of the frame-by-frame arbitration loop.
 PROPTEST_CASES=256 cargo test -q --release --test burst_flood_equivalence
 
+echo "==> V2X unread bursts: equivalence proptests in release, 256 cases"
+# AD20's unread bursts against single unread sends and per-message
+# sends, with jams and polls that cut bursts.
+PROPTEST_CASES=256 cargo test -q --release --test v2x_burst_equivalence
+
 echo "==> JSON writer: equivalence proptest in release, 1024 cases"
 # The streaming writer against a copy of the Value-tree walkers it
 # replaced, over random trees; default config, so PROPTEST_CASES applies.
