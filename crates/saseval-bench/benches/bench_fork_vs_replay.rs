@@ -1,8 +1,9 @@
-//! Benchmarks of copy-on-write warm-prefix forking: answering a fuzz
-//! input by replaying the world from `t = 0` vs forking from a frozen
+//! Benchmarks of copy-on-write warm prefixes: answering a fuzz input by
+//! replaying the world from `t = 0` vs the oracle, which resets its
+//! scratch world to a frozen
 //! [`WorldSnapshot`](vehicle_sim::WorldSnapshot) at attack-activation
-//! time (the `bench_fork_vs_replay` acceptance gate: forking must be
-//! several times faster for warm-prefix inputs).
+//! time (the `bench_fork_vs_replay` acceptance gate: the snapshot must
+//! be several times faster for warm-prefix inputs).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -23,9 +24,9 @@ fn config(warm_prefix_ms: u64) -> KeylessConfig {
 
 const INPUT: &[u8] = &[7u8; 33];
 
-/// One input answered by re-simulating the whole prefix vs forking the
-/// frozen snapshot, at growing prefix lengths — the replay cost grows
-/// linearly with the prefix, the fork cost stays flat.
+/// One input answered by re-simulating the whole prefix vs resetting to
+/// the frozen snapshot, at growing prefix lengths — the replay cost
+/// grows linearly with the prefix, the reset cost stays flat.
 fn bench_fork_vs_replay(c: &mut Criterion) {
     let mut group = c.benchmark_group("fork_vs_replay");
     group.sample_size(10);

@@ -1,9 +1,10 @@
 //! Warm-prefix simulation throughput backing EXPERIMENTS.md's
 //! "Warm-prefix fuzzing throughput" table: how fast the simulation
 //! oracle answers fuzz inputs when every input replays the world from
-//! `t = 0` tick by tick, versus the oracle itself — forking from a
-//! copy-on-write snapshot taken at the attack-activation time and
-//! running the tail through the next-event advance.
+//! `t = 0` tick by tick, versus the oracle itself — resetting its
+//! scratch world to a copy-on-write snapshot taken at the
+//! attack-activation time and running the tail through the next-event
+//! advance. The oracle's row keeps its name, `fork-from-snapshot`.
 //!
 //! Both strategies answer every input identically (asserted here),
 //! so the comparison measures the work
@@ -118,7 +119,8 @@ pub fn measure_sim_strategies(
         }
     });
 
-    // Fork-from-snapshot: the prefix is simulated once, above.
+    // Fork-from-snapshot: the prefix is simulated once, above; every
+    // input resets the oracle's scratch world to it.
     let mut forked = Vec::with_capacity(count);
     let fork = timed_row("fork-from-snapshot", count, || {
         for input in &inputs {

@@ -12,7 +12,8 @@
 //! Targets are [`FuzzTarget`] oracles, executed one input at a time;
 //! every `FnMut(&[u8]) -> TargetResponse` closure is one.
 
-use std::collections::HashSet;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -22,6 +23,7 @@ use saseval_obs::Obs;
 use serde::{Deserialize, Serialize};
 
 use saseval_tara::AttackPath;
+use saseval_types::hash::fnv1a64;
 
 use crate::corpus::{content_hash, Corpus, EntryMeta};
 use crate::coverage::CoverageMap;
@@ -223,8 +225,8 @@ struct ShardOutcome {
 ///
 /// The loop is allocation-free per input: generation writes into one
 /// reusable [`GeneratedInput`] scratch buffer and coverage recording is
-/// bitset arithmetic; only rare events allocate (a new unique crash
-/// clones its input bytes).
+/// bitset arithmetic; only a new unique crash allocates, once, for the
+/// copy of its bytes its [`Finding`] owns.
 fn run_shard(
     mutator: &mut Mutator,
     paths: &[AttackPath],
@@ -234,7 +236,7 @@ fn run_shard(
     obs: &Obs,
 ) -> ShardOutcome {
     let mut coverage = CoverageMap::new(mutator.model(), paths.len());
-    let mut seen_crashes: HashSet<Vec<u8>> = HashSet::new();
+    let mut first_by_hash: HashMap<u64, usize> = HashMap::new();
     let mut findings = Vec::new();
     let (mut accepted, mut rejected, mut executed) = (0, 0, 0usize);
     let mut batch_start = Instant::now();
@@ -255,7 +257,7 @@ fn run_shard(
             TargetResponse::Accepted => accepted += 1,
             TargetResponse::Rejected => rejected += 1,
             TargetResponse::Crash => {
-                if seen_crashes.insert(input.bytes.clone()) {
+                if is_new_crash(&findings, &mut first_by_hash, &input.bytes) {
                     findings.push(Finding {
                         path_index,
                         path_goal: paths
@@ -279,6 +281,26 @@ fn run_shard(
         }
     }
     ShardOutcome { shard, accepted, rejected, findings, coverage }
+}
+
+/// Whether no finding holds `input` yet. `first_by_hash` maps an input
+/// hash to the first finding with that hash, so the findings own the
+/// only copy of each crash's bytes; when a hash matches but the bytes
+/// differ, every finding is compared.
+fn is_new_crash(
+    findings: &[Finding],
+    first_by_hash: &mut HashMap<u64, usize>,
+    input: &[u8],
+) -> bool {
+    match first_by_hash.entry(fnv1a64(input)) {
+        Entry::Vacant(slot) => {
+            slot.insert(findings.len());
+            true
+        }
+        Entry::Occupied(slot) => {
+            findings[*slot.get()].input != input && findings.iter().all(|f| f.input != input)
+        }
+    }
 }
 
 /// Merges shard outcomes into one report with a canonical ordering:
@@ -307,10 +329,14 @@ fn merge_shard_outcomes(
         }
     }
     tagged.sort_by(|a, b| (a.0, a.1, &a.2.input).cmp(&(b.0, b.1, &b.2.input)));
-    let mut seen: HashSet<Vec<u8>> = HashSet::new();
+    let first: Vec<bool> = {
+        let mut seen: HashSet<&[u8]> = HashSet::new();
+        tagged.iter().map(|(_, _, finding)| seen.insert(&finding.input)).collect()
+    };
     let crashes: Vec<Finding> = tagged
         .into_iter()
-        .filter_map(|(_, _, finding)| seen.insert(finding.input.clone()).then_some(finding))
+        .zip(first)
+        .filter_map(|((_, _, finding), first)| first.then_some(finding))
         .collect();
     let (field_coverage, path_coverage, cells, out_of_range) = merged_coverage
         .map(|c| {

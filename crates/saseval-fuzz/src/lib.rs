@@ -23,10 +23,12 @@
 //!   suffices) around one allocation-free loop, and merges them
 //!   deterministically per shard count. Targets implement
 //!   [`FuzzTarget`] — closures included — and run one input at a time,
-//! * [`sim_target`] backs the oracle with the vehicle worlds: every input
-//!   forks from a copy-on-write world snapshot taken at attack-activation
-//!   time, and the attacker-free prefix and tail run through the worlds'
-//!   next-event advance, which skips provably idle ticks,
+//! * [`sim_target`] backs the oracle with the vehicle worlds: each
+//!   oracle keeps one scratch world, reset before every input to a
+//!   copy-on-write world snapshot taken at attack-activation time
+//!   (reusing the scratch world's buffers), and the attacker-free prefix
+//!   and tail run through the worlds' next-event advance, which skips
+//!   provably idle ticks,
 //! * [`scenario`] lifts the loop from single messages to whole
 //!   validation scenarios: a parameterized
 //!   [`scenario::ScenarioSpec`] (traffic density, platoon

@@ -2,10 +2,13 @@
 //! worlds instead of a hand-written responder.
 //!
 //! [`SimOracle`] freezes a world at the attack-activation time as a
-//! copy-on-write [`WorldSnapshot`]. Each fuzz input then *forks* from
-//! that warm prefix instead of re-simulating from `t = 0`, is injected as
-//! a frame from the hostile sender [`FUZZ_SENDER`], and the fork steps to
-//! its end condition. Classification:
+//! copy-on-write [`WorldSnapshot`]. Each oracle keeps one scratch world,
+//! built from the snapshot on its first input; before every input,
+//! [`WorldSnapshot::reset_into`] resets the scratch world to the warm
+//! prefix in place, reusing the buffers earlier inputs grew, instead of
+//! re-simulating from `t = 0` or forking a new world. The input is then
+//! injected as a frame from the hostile sender [`FUZZ_SENDER`], and the
+//! world steps to its end condition. Classification:
 //!
 //! * any safety-goal violation → [`TargetResponse::Crash`],
 //! * otherwise a security-log event naming the fuzz sender →
@@ -22,6 +25,8 @@
 //! entries from [`FUZZ_SENDER`] to the injected input, which holds
 //! because the prefix world never saw that sender.
 
+use std::sync::Arc;
+
 use bytes::Bytes;
 use saseval_types::SimTime;
 use vehicle_net::v2x::V2xMessage;
@@ -34,44 +39,78 @@ use crate::fuzzer::{FuzzTarget, TargetResponse};
 /// The sender identity fuzz inputs are injected under.
 pub const FUZZ_SENDER: &str = "FUZZ";
 
-#[derive(Debug, Clone)]
-enum Scenario {
-    Keyless(WorldSnapshot<KeylessWorld>),
-    Construction(WorldSnapshot<ConstructionWorld>),
+/// A warm snapshot and the scratch world inputs run in. Cloning copies
+/// the snapshot handle only: the clone builds its own scratch world on
+/// its first input.
+#[derive(Debug)]
+struct Scratch<W> {
+    snapshot: WorldSnapshot<W>,
+    world: Option<Box<W>>,
 }
 
-/// A fuzz target backed by a simulated world: forks every input from a
-/// frozen warm prefix, injects it, steps to the horizon and classifies
-/// the outcome. See the [module docs](self) for the classification rules.
-#[derive(Debug, Clone)]
-pub struct SimOracle {
-    scenario: Scenario,
-}
-
-/// Broadcasts `input` on the V2X channel as an (unsigned) message from
-/// the fuzz sender, mirroring how [`KeylessWorld::send_ble`] carries raw
-/// attacker payloads on the BLE side.
-fn inject_construction(world: &mut ConstructionWorld, input: &[u8]) {
-    let now = world.now();
-    let kind = u16::from(input.first().copied().unwrap_or(0));
-    let msg = V2xMessage::new(FUZZ_SENDER, kind, Bytes::copy_from_slice(input), now);
-    world.channel_mut().broadcast(msg, now);
-}
-
-fn classify_keyless(world: KeylessWorld) -> TargetResponse {
-    let rejected = world.security_log().events().iter().any(|e| e.sender == FUZZ_SENDER);
-    if world.into_outcome().any_violation() {
-        TargetResponse::Crash
-    } else if rejected {
-        TargetResponse::Rejected
-    } else {
-        TargetResponse::Accepted
+impl<W: Clone> Clone for Scratch<W> {
+    fn clone(&self) -> Self {
+        Scratch { snapshot: self.snapshot.clone(), world: None }
     }
 }
 
-fn classify_construction(world: ConstructionWorld) -> TargetResponse {
-    let rejected = world.security_log().events().iter().any(|e| e.sender == FUZZ_SENDER);
-    if world.into_outcome().any_violation() {
+impl<W: Clone> Scratch<W> {
+    fn new(snapshot: WorldSnapshot<W>) -> Self {
+        Scratch { snapshot, world: None }
+    }
+
+    /// The scratch world, reset to the warm prefix.
+    fn reset(&mut self) -> &mut W {
+        match &mut self.world {
+            Some(world) => self.snapshot.reset_into(world),
+            None => self.world = Some(Box::new(self.snapshot.fork())),
+        }
+        self.world.as_mut().expect("the scratch world is built")
+    }
+}
+
+#[derive(Debug, Clone)]
+enum Scenario {
+    Keyless(Scratch<KeylessWorld>),
+    Construction(Scratch<ConstructionWorld>),
+}
+
+/// A fuzz target backed by a simulated world: resets its scratch world
+/// to a frozen warm prefix, injects the input, steps to the horizon and
+/// classifies the outcome. See the [module docs](self) for the
+/// classification rules.
+///
+/// Cloning is cheap: the clone shares the snapshot and gets its own
+/// sender and scratch world, so every fuzz shard runs in a world of its
+/// own.
+#[derive(Debug)]
+pub struct SimOracle {
+    scenario: Scenario,
+    /// [`FUZZ_SENDER`], built once per oracle and shared by every frame
+    /// it injects.
+    sender: Arc<str>,
+}
+
+impl Clone for SimOracle {
+    fn clone(&self) -> Self {
+        SimOracle { scenario: self.scenario.clone(), sender: Arc::from(FUZZ_SENDER) }
+    }
+}
+
+/// Broadcasts `input` on the V2X channel as an (unsigned) message from
+/// `sender`, mirroring how [`KeylessWorld::send_ble`] carries raw
+/// attacker payloads on the BLE side.
+fn inject_construction(world: &mut ConstructionWorld, sender: &Arc<str>, input: &[u8]) {
+    let now = world.now();
+    let kind = u16::from(input.first().copied().unwrap_or(0));
+    let msg = V2xMessage::new(Arc::clone(sender), kind, Bytes::copy_from_slice(input), now);
+    world.channel_mut().broadcast(msg, now);
+}
+
+/// `violated`: the run broke a safety goal; `rejected`: the security log
+/// names the fuzz sender.
+fn classify(violated: bool, rejected: bool) -> TargetResponse {
+    if violated {
         TargetResponse::Crash
     } else if rejected {
         TargetResponse::Rejected
@@ -81,11 +120,16 @@ fn classify_construction(world: ConstructionWorld) -> TargetResponse {
 }
 
 impl SimOracle {
+    fn new(scenario: Scenario) -> Self {
+        SimOracle { scenario, sender: Arc::from(FUZZ_SENDER) }
+    }
+
     /// Keyless (Use Case II) oracle: runs an attacker-free world under
     /// `config` to `attack_at`, freezes it, and fuzzes BLE payloads from
     /// there.
     pub fn keyless(config: KeylessConfig, attack_at: SimTime) -> Self {
-        SimOracle { scenario: Scenario::Keyless(KeylessWorld::warm_snapshot(config, attack_at)) }
+        let snapshot = KeylessWorld::warm_snapshot(config, attack_at);
+        SimOracle::new(Scenario::Keyless(Scratch::new(snapshot)))
     }
 
     /// Construction-site (Use Case I) oracle: runs an attacker-free world
@@ -93,24 +137,28 @@ impl SimOracle {
     /// from there.
     pub fn construction(config: ConstructionConfig, attack_at: SimTime) -> Self {
         let snapshot = ConstructionWorld::warm_snapshot(config, attack_at);
-        SimOracle { scenario: Scenario::Construction(snapshot) }
+        SimOracle::new(Scenario::Construction(Scratch::new(snapshot)))
     }
 }
 
 impl FuzzTarget for SimOracle {
     fn respond(&mut self, input: &[u8]) -> TargetResponse {
-        match &self.scenario {
-            Scenario::Keyless(snapshot) => {
-                let mut world = snapshot.fork();
-                world.send_ble(FUZZ_SENDER, input.to_vec());
+        match &mut self.scenario {
+            Scenario::Keyless(scratch) => {
+                let world = scratch.reset();
+                world.send_ble(Arc::clone(&self.sender), input.to_vec());
                 world.advance_unattacked(SimTime::MAX);
-                classify_keyless(world)
+                let rejected =
+                    world.security_log().events().iter().any(|e| e.sender == FUZZ_SENDER);
+                classify(world.outcome().any_violation(), rejected)
             }
-            Scenario::Construction(snapshot) => {
-                let mut world = snapshot.fork();
-                inject_construction(&mut world, input);
+            Scenario::Construction(scratch) => {
+                let world = scratch.reset();
+                inject_construction(world, &self.sender, input);
                 world.advance_unattacked(SimTime::MAX);
-                classify_construction(world)
+                let rejected =
+                    world.security_log().events().iter().any(|e| e.sender == FUZZ_SENDER);
+                classify(world.outcome().any_violation(), rejected)
             }
         }
     }

@@ -30,8 +30,9 @@
 //! * [`worker`] — a worker pool ([`worker::WorkerPool`]) running
 //!   [`worker::execute`]; a fuzz job freezes its scenario's world at
 //!   attack activation once ([`vehicle_sim::WorldSnapshot`]) and every
-//!   shard forks from that frozen pre-attack state instead of
-//!   re-stepping the world; progress streams out of `saseval-obs`
+//!   shard resets one scratch world to that frozen pre-attack state
+//!   before each input instead of re-stepping the world; progress
+//!   streams out of `saseval-obs`
 //!   recorders as [`worker::PoolEvent`]s tagged with cache key and
 //!   single-flight epoch.
 //! * [`protocol`] + [`server`] — a std-only TCP line protocol (one

@@ -4,7 +4,7 @@
 //! Workers reuse the fuzzing stack's two core optimizations end-to-end:
 //! [`Fuzzer::run`]'s deterministic shard merge drives every fuzz job
 //! (a one-shard job runs on the worker's own thread), and each shard's
-//! oracle forks from one
+//! oracle resets one scratch world, before every input, to a
 //! [`vehicle_sim::WorldSnapshot`] warm prefix that the job builds
 //! itself. An attacker-free prefix is reached by next-event jumps, so
 //! building it costs about as much as looking a resident copy up would
@@ -78,8 +78,9 @@ pub fn run_job(spec: JobSpec, _snapshots: &SnapshotStore, obs: &Obs) -> JobPaylo
     execute(spec, obs)
 }
 
-/// A fuzz oracle for `scenario`, forked per shard from a warm prefix
-/// simulated to the scenario's attack activation.
+/// A fuzz oracle for `scenario` over a warm prefix simulated to the
+/// scenario's attack activation; each shard's clone runs its inputs in
+/// a scratch world of its own.
 fn oracle(scenario: ScenarioSpec) -> SimOracle {
     match scenario {
         ScenarioSpec::Keyless(_) => SimOracle::keyless(
@@ -140,8 +141,8 @@ fn run_lint_job(job: LintJob, obs: &Obs) -> JobPayload {
     })
 }
 
-/// Executes `spec` to its deterministic payload. Fuzz jobs fork their
-/// shards from one warm prefix; campaign jobs run the attack engine's
+/// Executes `spec` to its deterministic payload. Fuzz jobs run every
+/// shard from one warm prefix; campaign jobs run the attack engine's
 /// serial campaign runner; lint jobs run the trace-graph static
 /// analysis. Metrics land on `obs`.
 pub fn execute(spec: JobSpec, obs: &Obs) -> JobPayload {

@@ -21,7 +21,7 @@ use saseval_types::{Ftti, SimTime};
 
 use crate::envelope::Envelope;
 use crate::mac::{MacKey, Tag};
-use crate::stack::{RejectReason, SecurityControl};
+use crate::stack::{clone_control_into, clone_map_from, RejectReason, SecurityControl};
 
 /// Verifies the envelope's tag with a shared key, binding sender identity,
 /// payload and generation time.
@@ -64,6 +64,10 @@ impl SecurityControl for MacAuthenticator {
 
     fn box_clone(&self) -> Box<dyn SecurityControl> {
         Box::new(*self)
+    }
+
+    fn clone_into_box(&self, target: &mut Box<dyn SecurityControl>) {
+        clone_control_into(self, target);
     }
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
@@ -114,6 +118,10 @@ impl SecurityControl for FreshnessWindow {
         Box::new(*self)
     }
 
+    fn clone_into_box(&self, target: &mut Box<dyn SecurityControl>) {
+        clone_control_into(self, target);
+    }
+
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
@@ -121,11 +129,34 @@ impl SecurityControl for FreshnessWindow {
 
 /// Rejects exact re-deliveries: remembers `(sender, generated_at,
 /// payload-digest)` triples in a bounded FIFO cache.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ReplayDetector {
+    /// The triples of `order`, for membership tests only: nothing reads
+    /// the set's iteration order.
     seen: HashSet<(Arc<str>, u64, u64)>,
     order: VecDeque<(Arc<str>, u64, u64)>,
     capacity: usize,
+}
+
+impl Clone for ReplayDetector {
+    fn clone(&self) -> Self {
+        ReplayDetector {
+            seen: self.seen.clone(),
+            order: self.order.clone(),
+            capacity: self.capacity,
+        }
+    }
+
+    /// Copies `source`'s cache into this detector's buffers. The set is
+    /// refilled rather than cloned: `HashSet::clone_from` frees the table
+    /// when `source`'s is empty, and only membership is ever read.
+    fn clone_from(&mut self, source: &Self) {
+        let ReplayDetector { seen, order, capacity } = self;
+        seen.clear();
+        seen.extend(source.seen.iter().cloned());
+        order.clone_from(&source.order);
+        *capacity = source.capacity;
+    }
 }
 
 impl ReplayDetector {
@@ -148,6 +179,11 @@ impl SecurityControl for ReplayDetector {
     }
 
     fn check(&mut self, envelope: &Envelope, _now: SimTime) -> Result<(), RejectReason> {
+        debug_assert_eq!(
+            self.seen.len(),
+            self.order.len(),
+            "the set holds exactly the FIFO's keys"
+        );
         let key = Self::key(envelope);
         if self.seen.contains(&key) {
             return Err(RejectReason::Replayed);
@@ -166,6 +202,10 @@ impl SecurityControl for ReplayDetector {
         Box::new(self.clone())
     }
 
+    fn clone_into_box(&self, target: &mut Box<dyn SecurityControl>) {
+        clone_control_into(self, target);
+    }
+
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
@@ -175,11 +215,32 @@ impl SecurityControl for ReplayDetector {
 /// per sender; a valid message carries `mac(key, nonce ‖ payload)`. Each
 /// nonce admits exactly one message, defeating replay even with valid
 /// end-to-end encryption.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ChallengeResponse {
     key: MacKey,
     outstanding: BTreeMap<String, u64>,
     next_nonce: u64,
+}
+
+impl Clone for ChallengeResponse {
+    fn clone(&self) -> Self {
+        ChallengeResponse {
+            key: self.key,
+            outstanding: self.outstanding.clone(),
+            next_nonce: self.next_nonce,
+        }
+    }
+
+    /// Copies `source`'s state; the nonce table is rebuilt only when it
+    /// differs.
+    fn clone_from(&mut self, source: &Self) {
+        let ChallengeResponse { key, outstanding, next_nonce } = self;
+        *key = source.key;
+        if *outstanding != source.outstanding {
+            outstanding.clone_from(&source.outstanding);
+        }
+        *next_nonce = source.next_nonce;
+    }
 }
 
 impl ChallengeResponse {
@@ -229,6 +290,10 @@ impl SecurityControl for ChallengeResponse {
         Box::new(self.clone())
     }
 
+    fn clone_into_box(&self, target: &mut Box<dyn SecurityControl>) {
+        clone_control_into(self, target);
+    }
+
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
@@ -236,13 +301,33 @@ impl SecurityControl for ChallengeResponse {
 
 /// Sliding-window per-sender rate limiter (the flooding mitigation of
 /// Table VI).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct FloodDetector {
     max_per_window: usize,
     window: Ftti,
     /// Per-sender arrival times, keyed by the envelope's shared sender
     /// so a known sender is looked up without allocating.
     history: BTreeMap<Arc<str>, VecDeque<SimTime>>,
+}
+
+impl Clone for FloodDetector {
+    fn clone(&self) -> Self {
+        FloodDetector {
+            max_per_window: self.max_per_window,
+            window: self.window,
+            history: self.history.clone(),
+        }
+    }
+
+    /// Copies `source`'s windows into this detector's buffers. A sender
+    /// only this detector has seen keeps an empty window, which admits
+    /// exactly as an absent one.
+    fn clone_from(&mut self, source: &Self) {
+        let FloodDetector { max_per_window, window, history } = self;
+        *max_per_window = source.max_per_window;
+        *window = source.window;
+        clone_map_from(history, &source.history, VecDeque::clear);
+    }
 }
 
 impl FloodDetector {
@@ -292,6 +377,10 @@ impl SecurityControl for FloodDetector {
         Box::new(self.clone())
     }
 
+    fn clone_into_box(&self, target: &mut Box<dyn SecurityControl>) {
+        clone_control_into(self, target);
+    }
+
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
@@ -300,10 +389,25 @@ impl SecurityControl for FloodDetector {
 /// The Table VII control: "Check received vehicles electronic ID with
 /// list of allowed IDs". Configuration writes require authentication —
 /// attack AD24 (tampering with the allow-list) exercises exactly that.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct IdAllowList {
     allowed: BTreeSet<u64>,
     config_key: MacKey,
+}
+
+impl Clone for IdAllowList {
+    fn clone(&self) -> Self {
+        IdAllowList { allowed: self.allowed.clone(), config_key: self.config_key }
+    }
+
+    /// Copies `source`'s list; it is rebuilt only when it differs.
+    fn clone_from(&mut self, source: &Self) {
+        let IdAllowList { allowed, config_key } = self;
+        if *allowed != source.allowed {
+            allowed.clone_from(&source.allowed);
+        }
+        *config_key = source.config_key;
+    }
 }
 
 impl IdAllowList {
@@ -361,6 +465,10 @@ impl SecurityControl for IdAllowList {
         Box::new(self.clone())
     }
 
+    fn clone_into_box(&self, target: &mut Box<dyn SecurityControl>) {
+        clone_control_into(self, target);
+    }
+
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
@@ -375,10 +483,24 @@ type PlausibilityPredicate = Arc<dyn Fn(&Envelope, SimTime) -> Result<(), String
 
 /// A content plausibility check (§III-C: "a safety measure could determine
 /// that plausibility checks fail"), parameterized with a domain predicate.
-#[derive(Clone)]
 pub struct PlausibilityCheck {
     name: String,
     predicate: PlausibilityPredicate,
+}
+
+impl Clone for PlausibilityCheck {
+    fn clone(&self) -> Self {
+        PlausibilityCheck { name: self.name.clone(), predicate: Arc::clone(&self.predicate) }
+    }
+
+    /// Copies `source` into this check, reusing the name's buffer.
+    fn clone_from(&mut self, source: &Self) {
+        let PlausibilityCheck { name, predicate } = self;
+        name.clone_from(&source.name);
+        if !Arc::ptr_eq(predicate, &source.predicate) {
+            *predicate = Arc::clone(&source.predicate);
+        }
+    }
 }
 
 impl std::fmt::Debug for PlausibilityCheck {
@@ -421,6 +543,10 @@ impl SecurityControl for PlausibilityCheck {
 
     fn box_clone(&self) -> Box<dyn SecurityControl> {
         Box::new(self.clone())
+    }
+
+    fn clone_into_box(&self, target: &mut Box<dyn SecurityControl>) {
+        clone_control_into(self, target);
     }
 
     fn as_any_mut(&mut self) -> &mut dyn Any {

@@ -95,6 +95,13 @@ impl Envelope {
     pub fn challenge_response(&self) -> Option<Tag> {
         self.challenge_response
     }
+
+    /// Consumes the envelope and returns its payload buffer, so a
+    /// receiver admitting one message after another can build the next
+    /// envelope in the same buffer.
+    pub fn into_payload(self) -> Vec<u8> {
+        self.payload
+    }
 }
 
 #[cfg(test)]

@@ -25,9 +25,21 @@ pub struct SecurityEvent {
 }
 
 /// An append-only security event log.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SecurityLog {
     events: Vec<SecurityEvent>,
+}
+
+impl Clone for SecurityLog {
+    fn clone(&self) -> Self {
+        SecurityLog { events: self.events.clone() }
+    }
+
+    /// Copies `source`'s events into this log's buffer.
+    fn clone_from(&mut self, source: &Self) {
+        let SecurityLog { events } = self;
+        events.clone_from(&source.events);
+    }
 }
 
 impl SecurityLog {

@@ -90,6 +90,15 @@ pub trait SecurityControl: Send + Sync {
     /// determinism.
     fn box_clone(&self) -> Box<dyn SecurityControl>;
 
+    /// Overwrites `target` with a deep copy of this control. A control
+    /// whose `target` is of its own type copies its state into it with
+    /// `Clone::clone_from`, reusing `target`'s buffers; the default
+    /// replaces `target` with [`SecurityControl::box_clone`]. Resetting
+    /// a scratch world from its snapshot goes through this.
+    fn clone_into_box(&self, target: &mut Box<dyn SecurityControl>) {
+        *target = self.box_clone();
+    }
+
     /// The control as [`Any`], for typed access to a control inside a
     /// stack via [`ControlStack::control_mut`].
     fn as_any_mut(&mut self) -> &mut dyn Any;
@@ -98,6 +107,44 @@ pub trait SecurityControl: Send + Sync {
 impl Clone for Box<dyn SecurityControl> {
     fn clone(&self) -> Self {
         self.box_clone()
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        source.clone_into_box(self);
+    }
+}
+
+/// [`SecurityControl::clone_into_box`] for a `Clone` control: copies
+/// `source` into `target` in place when `target` is a `T`.
+pub(crate) fn clone_control_into<T: SecurityControl + Clone + 'static>(
+    source: &T,
+    target: &mut Box<dyn SecurityControl>,
+) {
+    match target.as_any_mut().downcast_mut::<T>() {
+        Some(target) => target.clone_from(source),
+        None => *target = source.box_clone(),
+    }
+}
+
+/// Makes `target` hold `source`'s entries, for maps in which an absent
+/// key behaves exactly like a key whose value `reset` has emptied. Keys
+/// only `target` holds are reset in place instead of removed, so their
+/// nodes and value buffers serve the next insert of the same key.
+pub(crate) fn clone_map_from<K: Ord + Clone, V: Clone>(
+    target: &mut BTreeMap<K, V>,
+    source: &BTreeMap<K, V>,
+    reset: impl Fn(&mut V),
+) {
+    for (key, value) in target.iter_mut() {
+        match source.get(key) {
+            Some(from) => value.clone_from(from),
+            None => reset(value),
+        }
+    }
+    for (key, value) in source {
+        if !target.contains_key(key) {
+            target.insert(key.clone(), value.clone());
+        }
     }
 }
 
@@ -109,7 +156,6 @@ pub const DEFAULT_ISOLATION_THRESHOLD: u32 = 10;
 /// identity's counter; at the isolation threshold the sender is declared
 /// unwanted and every further message from it is rejected outright
 /// ("Security control identifies unwanted sender").
-#[derive(Clone)]
 pub struct ControlStack {
     owner: String,
     controls: Vec<Box<dyn SecurityControl>>,
@@ -121,6 +167,48 @@ pub struct ControlStack {
     log: SecurityLog,
     accepted: u64,
     rejected: u64,
+}
+
+impl Clone for ControlStack {
+    fn clone(&self) -> Self {
+        ControlStack {
+            owner: self.owner.clone(),
+            controls: self.controls.clone(),
+            broken_counter: self.broken_counter.clone(),
+            isolated: self.isolated.clone(),
+            isolation_threshold: self.isolation_threshold,
+            log: self.log.clone(),
+            accepted: self.accepted,
+            rejected: self.rejected,
+        }
+    }
+
+    /// Copies `source` into this stack, reusing its buffers: each control
+    /// takes `source`'s state in place, and a sender counted here but not
+    /// in `source` keeps its counter entry at zero, which counts exactly
+    /// as an absent one.
+    fn clone_from(&mut self, source: &Self) {
+        let ControlStack {
+            owner,
+            controls,
+            broken_counter,
+            isolated,
+            isolation_threshold,
+            log,
+            accepted,
+            rejected,
+        } = self;
+        owner.clone_from(&source.owner);
+        controls.clone_from(&source.controls);
+        clone_map_from(broken_counter, &source.broken_counter, |count| *count = 0);
+        if *isolated != source.isolated {
+            isolated.clone_from(&source.isolated);
+        }
+        *isolation_threshold = source.isolation_threshold;
+        log.clone_from(&source.log);
+        *accepted = source.accepted;
+        *rejected = source.rejected;
+    }
 }
 
 impl fmt::Debug for ControlStack {

@@ -27,8 +27,9 @@ pub enum LinkState {
     Advertising,
     /// Connected to a central.
     Connected {
-        /// Name of the connected central (e.g. the owner's phone).
-        central: String,
+        /// Name of the connected central (e.g. the owner's phone),
+        /// shared with the sender that connected.
+        central: Arc<str>,
     },
 }
 
@@ -107,7 +108,6 @@ pub struct BleStats {
 /// assert_eq!(frames[0].payload.as_ref(), b"OPEN");
 /// # Ok::<(), vehicle_net::NetError>(())
 /// ```
-#[derive(Clone)]
 pub struct BleLink {
     config: BleConfig,
     state: LinkState,
@@ -118,6 +118,46 @@ pub struct BleLink {
     jam_until: Option<SimTime>,
     stats: BleStats,
     obs: Obs,
+}
+
+impl Clone for BleLink {
+    fn clone(&self) -> Self {
+        BleLink {
+            config: self.config,
+            state: self.state.clone(),
+            rng: self.rng.clone(),
+            next_seq: self.next_seq,
+            in_flight: self.in_flight.clone(),
+            last_activity: self.last_activity,
+            jam_until: self.jam_until,
+            stats: self.stats,
+            obs: self.obs.clone(),
+        }
+    }
+
+    /// Copies `source` into this link, reusing its in-flight buffer.
+    fn clone_from(&mut self, source: &Self) {
+        let BleLink {
+            config,
+            state,
+            rng,
+            next_seq,
+            in_flight,
+            last_activity,
+            jam_until,
+            stats,
+            obs,
+        } = self;
+        *config = source.config;
+        state.clone_from(&source.state);
+        rng.clone_from(&source.rng);
+        *next_seq = source.next_seq;
+        in_flight.clone_from(&source.in_flight);
+        *last_activity = source.last_activity;
+        *jam_until = source.jam_until;
+        *stats = source.stats;
+        obs.clone_from(&source.obs);
+    }
 }
 
 impl std::fmt::Debug for BleLink {
@@ -185,7 +225,7 @@ impl BleLink {
     /// * [`NetError::AlreadyConnected`] if a central is connected.
     /// * [`NetError::NotConnected`] if the peripheral is idle (not
     ///   advertising) or the channel is jammed at `now`.
-    pub fn connect(&mut self, central: impl Into<String>, now: SimTime) -> Result<(), NetError> {
+    pub fn connect(&mut self, central: impl Into<Arc<str>>, now: SimTime) -> Result<(), NetError> {
         match self.state {
             LinkState::Connected { .. } => Err(NetError::AlreadyConnected),
             LinkState::Idle => Err(NetError::NotConnected),
@@ -196,10 +236,12 @@ impl BleLink {
                 let central = central.into();
                 self.stats.connects += 1;
                 self.obs.counter("net.ble.connects", 1);
-                self.obs.event(
-                    "net.ble.session",
-                    &[("action", "connect".into()), ("central", central.as_str().into())],
-                );
+                if self.obs.is_enabled() {
+                    self.obs.event(
+                        "net.ble.session",
+                        &[("action", "connect".into()), ("central", (&*central).into())],
+                    );
+                }
                 self.state = LinkState::Connected { central };
                 self.next_seq = 0;
                 self.last_activity = now;
@@ -333,7 +375,9 @@ impl BleLink {
             self.state = LinkState::Advertising;
             self.stats.supervision_drops += 1;
             self.obs.counter("net.ble.supervision_drops", 1);
-            self.obs.event("net.ble.session", &[("action", "supervision-drop".into())]);
+            if self.obs.is_enabled() {
+                self.obs.event("net.ble.session", &[("action", "supervision-drop".into())]);
+            }
         }
     }
 

@@ -165,10 +165,23 @@ struct QueuedRun {
 }
 
 /// One node's transmit queue: runs in FIFO order and their frame total.
-#[derive(Clone, Default)]
+/// An empty queue behaves exactly as an absent one.
+#[derive(Default)]
 struct NodeQueue {
     runs: VecDeque<QueuedRun>,
     frames: usize,
+}
+
+impl Clone for NodeQueue {
+    fn clone(&self) -> Self {
+        NodeQueue { runs: self.runs.clone(), frames: self.frames }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let NodeQueue { runs, frames } = self;
+        runs.clone_from(&source.runs);
+        *frames = source.frames;
+    }
 }
 
 /// A shared CAN bus with per-node transmit queues.
@@ -187,11 +200,12 @@ struct NodeQueue {
 /// assert_eq!(deliveries.len(), 1);
 /// # Ok::<(), vehicle_net::NetError>(())
 /// ```
-#[derive(Clone)]
 pub struct CanBus {
     config: CanBusConfig,
     /// Transmit queues keyed by the sender's shared name, so queueing
-    /// and arbitration copy a pointer, not the name.
+    /// and arbitration copy a pointer, not the name. A drained queue
+    /// stays in the map, empty, so the node's next submit allocates
+    /// nothing.
     queues: BTreeMap<Arc<str>, NodeQueue>,
     tec: BTreeMap<String, u32>,
     cursor: SimTime,
@@ -199,11 +213,52 @@ pub struct CanBus {
     obs: Obs,
 }
 
+impl Clone for CanBus {
+    fn clone(&self) -> Self {
+        CanBus {
+            config: self.config,
+            queues: self.queues.clone(),
+            tec: self.tec.clone(),
+            cursor: self.cursor,
+            stats: self.stats,
+            obs: self.obs.clone(),
+        }
+    }
+
+    /// Copies `source` into this bus, reusing its queues: a node queued
+    /// here but not in `source` keeps an empty queue, which behaves
+    /// exactly as an absent one and serves that node's next submit.
+    fn clone_from(&mut self, source: &Self) {
+        let CanBus { config, queues, tec, cursor, stats, obs } = self;
+        *config = source.config;
+        for (node, queue) in queues.iter_mut() {
+            match source.queues.get(node) {
+                Some(from) => queue.clone_from(from),
+                None => {
+                    queue.runs.clear();
+                    queue.frames = 0;
+                }
+            }
+        }
+        for (node, queue) in &source.queues {
+            if !queues.contains_key(node) {
+                queues.insert(Arc::clone(node), queue.clone());
+            }
+        }
+        if *tec != source.tec {
+            tec.clone_from(&source.tec);
+        }
+        *cursor = source.cursor;
+        *stats = source.stats;
+        obs.clone_from(&source.obs);
+    }
+}
+
 impl std::fmt::Debug for CanBus {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CanBus")
             .field("cursor", &self.cursor)
-            .field("queued_nodes", &self.queues.len())
+            .field("queued_nodes", &self.queues.values().filter(|q| q.frames > 0).count())
             .field("stats", &self.stats)
             .finish()
     }
@@ -362,9 +417,6 @@ impl CanBus {
                 run.frame.clone()
             };
             queue.frames -= count as usize;
-            if queue.runs.is_empty() {
-                self.queues.remove(&node);
-            }
             self.cursor = cursor + frame_time.saturating_mul(u64::from(count));
             delivered += u64::from(count);
             // Successful transmissions decrement the error counter.

@@ -134,7 +134,6 @@ pub struct V2xStats {
 /// seed.
 ///
 /// See the [crate-level example](crate).
-#[derive(Clone)]
 pub struct V2xChannel {
     config: V2xConfig,
     rng: StdRng,
@@ -145,6 +144,32 @@ pub struct V2xChannel {
     jam_until: Option<SimTime>,
     stats: V2xStats,
     obs: Obs,
+}
+
+impl Clone for V2xChannel {
+    fn clone(&self) -> Self {
+        V2xChannel {
+            config: self.config,
+            rng: self.rng.clone(),
+            in_flight: self.in_flight.clone(),
+            unread: self.unread.clone(),
+            jam_until: self.jam_until,
+            stats: self.stats,
+            obs: self.obs.clone(),
+        }
+    }
+
+    /// Copies `source` into this channel, reusing its in-flight buffers.
+    fn clone_from(&mut self, source: &Self) {
+        let V2xChannel { config, rng, in_flight, unread, jam_until, stats, obs } = self;
+        *config = source.config;
+        rng.clone_from(&source.rng);
+        in_flight.clone_from(&source.in_flight);
+        unread.clone_from(&source.unread);
+        *jam_until = source.jam_until;
+        *stats = source.stats;
+        obs.clone_from(&source.obs);
+    }
 }
 
 /// The arrivals of one unread burst still to count. They are not

@@ -37,7 +37,7 @@ use security_controls::{ControlStack, Envelope, SecurityLog};
 use vehicle_net::v2x::{V2xChannel, V2xConfig, V2xMessage};
 
 use crate::config::ControlSelection;
-use crate::trace::TraceRecorder;
+use crate::trace::{RecycledTrace, TraceRecorder};
 use crate::vehicle::{ControlMode, Driver, Vehicle};
 use crate::AttackerHook;
 
@@ -182,7 +182,6 @@ impl ConstructionOutcome {
 /// The running world. Attacker hooks receive `&mut ConstructionWorld` and
 /// may inject, replay, alter or jam via [`ConstructionWorld::channel_mut`]
 /// and the message helpers.
-#[derive(Clone)]
 pub struct ConstructionWorld {
     config: ConstructionConfig,
     now: SimTime,
@@ -195,6 +194,9 @@ pub struct ConstructionWorld {
     /// Reusable scratch buffer for per-tick channel polls; draining into
     /// it keeps the steady-state step loop free of per-tick allocation.
     delivery_buf: Vec<V2xMessage>,
+    /// The payload buffer of the envelope the OBU admits messages in,
+    /// reused from one message to the next.
+    payload_buf: Vec<u8>,
     service_alive: bool,
     next_broadcast: Option<SimTime>,
     applied_limit_kmh: Option<u8>,
@@ -204,10 +206,95 @@ pub struct ConstructionWorld {
     takeover_requested_at: Option<SimTime>,
     manual_at: Option<SimTime>,
     sniffed: Vec<V2xMessage>,
-    trace: TraceRecorder,
+    trace: RecycledTrace,
     obs: Obs,
     ticks: u64,
     entered_zone: bool,
+}
+
+impl Clone for ConstructionWorld {
+    fn clone(&self) -> Self {
+        ConstructionWorld {
+            config: self.config.clone(),
+            now: self.now,
+            vehicle: self.vehicle,
+            mode: self.mode,
+            channel: self.channel.clone(),
+            stack: self.stack.clone(),
+            rsu_key: self.rsu_key,
+            obu_queue: self.obu_queue.clone(),
+            delivery_buf: self.delivery_buf.clone(),
+            payload_buf: self.payload_buf.clone(),
+            service_alive: self.service_alive,
+            next_broadcast: self.next_broadcast,
+            applied_limit_kmh: self.applied_limit_kmh,
+            unsafe_limit_accepted: self.unsafe_limit_accepted,
+            unintended_warnings: self.unintended_warnings,
+            mode_switches: self.mode_switches,
+            takeover_requested_at: self.takeover_requested_at,
+            manual_at: self.manual_at,
+            sniffed: self.sniffed.clone(),
+            trace: self.trace.clone(),
+            obs: self.obs.clone(),
+            ticks: self.ticks,
+            entered_zone: self.entered_zone,
+        }
+    }
+
+    /// Copies `source` into this world, reusing every buffer it holds:
+    /// channel, stack, OBU queue, the scratch buffer, the sniffed feed
+    /// and the trace. Every field is listed, so a new one cannot be
+    /// left out of the copy.
+    fn clone_from(&mut self, source: &Self) {
+        let ConstructionWorld {
+            config,
+            now,
+            vehicle,
+            mode,
+            channel,
+            stack,
+            rsu_key,
+            obu_queue,
+            delivery_buf,
+            payload_buf,
+            service_alive,
+            next_broadcast,
+            applied_limit_kmh,
+            unsafe_limit_accepted,
+            unintended_warnings,
+            mode_switches,
+            takeover_requested_at,
+            manual_at,
+            sniffed,
+            trace,
+            obs,
+            ticks,
+            entered_zone,
+        } = self;
+        config.clone_from(&source.config);
+        *now = source.now;
+        *vehicle = source.vehicle;
+        *mode = source.mode;
+        channel.clone_from(&source.channel);
+        stack.clone_from(&source.stack);
+        *rsu_key = source.rsu_key;
+        obu_queue.clone_from(&source.obu_queue);
+        delivery_buf.clone_from(&source.delivery_buf);
+        payload_buf.clone_from(&source.payload_buf);
+        *service_alive = source.service_alive;
+        *next_broadcast = source.next_broadcast;
+        *applied_limit_kmh = source.applied_limit_kmh;
+        *unsafe_limit_accepted = source.unsafe_limit_accepted;
+        *unintended_warnings = source.unintended_warnings;
+        *mode_switches = source.mode_switches;
+        *takeover_requested_at = source.takeover_requested_at;
+        *manual_at = source.manual_at;
+        sniffed.clone_from(&source.sniffed);
+        trace.clone_from(&source.trace);
+        obs.clone_from(&source.obs);
+        *ticks = source.ticks;
+        *entered_zone = source.entered_zone;
+    }
 }
 
 impl std::fmt::Debug for ConstructionWorld {
@@ -263,6 +350,7 @@ impl ConstructionWorld {
             rsu_key,
             obu_queue: VecDeque::new(),
             delivery_buf: Vec::new(),
+            payload_buf: Vec::new(),
             service_alive: true,
             next_broadcast: None,
             applied_limit_kmh: None,
@@ -272,7 +360,7 @@ impl ConstructionWorld {
             takeover_requested_at: None,
             manual_at: None,
             sniffed: Vec::new(),
-            trace: TraceRecorder::new(),
+            trace: RecycledTrace::default(),
             obs: Obs::noop(),
             ticks: 0,
             entered_zone: false,
@@ -341,7 +429,7 @@ impl ConstructionWorld {
 
     /// The functional trace.
     pub fn trace(&self) -> &TraceRecorder {
-        &self.trace
+        self.trace.recorder()
     }
 
     /// The world configuration.
@@ -524,21 +612,23 @@ impl ConstructionWorld {
                 self.now,
                 "OBU",
                 "service-shutdown",
-                format!("ingress queue exceeded {} messages", self.config.obu_queue_limit),
+                format_args!("ingress queue exceeded {} messages", self.config.obu_queue_limit),
             );
             return;
         }
         for _ in 0..self.config.obu_budget_per_tick {
             let Some(msg) = self.obu_queue.pop_front() else { break };
-            let mut envelope = Envelope::new(
-                Arc::clone(msg.shared_sender()),
-                msg.generated_at(),
-                msg.payload().to_vec(),
-            );
+            let mut payload = std::mem::take(&mut self.payload_buf);
+            payload.clear();
+            payload.extend_from_slice(msg.payload());
+            let mut envelope =
+                Envelope::new(Arc::clone(msg.shared_sender()), msg.generated_at(), payload);
             if let Some(tag) = msg.auth_tag() {
                 envelope = envelope.with_tag(security_controls::mac::Tag::from_raw(tag));
             }
-            if !self.stack.admit(&envelope, self.now).is_accepted() {
+            let accepted = self.stack.admit(&envelope, self.now).is_accepted();
+            self.payload_buf = envelope.into_payload();
+            if !accepted {
                 continue;
             }
             match *msg.payload().as_ref() {
@@ -578,7 +668,7 @@ impl ConstructionWorld {
                             self.now,
                             "OBU",
                             "limit-applied",
-                            format!("{limit} km/h"),
+                            format_args!("{limit} km/h"),
                         );
                     }
                 }
@@ -635,7 +725,7 @@ impl ConstructionWorld {
         }
     }
 
-    fn finish(self) -> ConstructionOutcome {
+    fn finish(&self) -> ConstructionOutcome {
         let entered_zone = self.entered_zone;
         let entered_automated = !matches!(self.mode, ControlMode::Manual);
         let sg01_violated = entered_zone && entered_automated;
@@ -744,9 +834,10 @@ impl ConstructionWorld {
     }
 
     /// Builds an attacker-free world under `config`, runs it to `at` and
-    /// freezes it: the warm prefix a fuzz run forks every input from, so
-    /// the run pays world construction and the prefix once. The prefix
-    /// is reached by next-event jumps, so building it is cheap.
+    /// freezes it: the warm prefix a fuzz run resets its scratch world to
+    /// before every input, so the run pays world construction and the
+    /// prefix once. The prefix is reached by next-event jumps, so
+    /// building it is cheap.
     pub fn warm_snapshot(
         config: ConstructionConfig,
         at: SimTime,
@@ -760,6 +851,13 @@ impl ConstructionWorld {
     /// state, flushing the tick counter. [`ConstructionWorld::run`] is
     /// stepping to completion followed by this.
     pub fn into_outcome(self) -> ConstructionOutcome {
+        self.outcome()
+    }
+
+    /// [`ConstructionWorld::into_outcome`] by reference, for a world that
+    /// is reset and reused afterwards. It flushes the tick counter too,
+    /// so call it once per run.
+    pub fn outcome(&self) -> ConstructionOutcome {
         self.obs.counter("world.construction.ticks", self.ticks);
         self.finish()
     }

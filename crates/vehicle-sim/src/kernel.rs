@@ -50,9 +50,10 @@ impl<E> Default for EventQueue<E> {
 /// Snapshot forking requires queue clones to be *deep*: a fork sharing
 /// `free_slots` or `seq` with its parent would hand both worlds the same
 /// insertion-order counters, breaking FIFO-at-equal-time determinism the
-/// moment they diverge. Every field here is owned data, so the derived
+/// moment they diverge. Every field here is owned data, so the
 /// field-by-field clone copies the heap, the slot storage, the free list
-/// and both counters independently.
+/// and both counters independently; `clone_from` does the same into the
+/// target's existing buffers.
 impl<E: Clone> Clone for EventQueue<E> {
     fn clone(&self) -> Self {
         EventQueue {
@@ -62,6 +63,15 @@ impl<E: Clone> Clone for EventQueue<E> {
             seq: self.seq,
             popped: self.popped,
         }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let EventQueue { heap, events, free_slots, seq, popped } = self;
+        heap.clone_from(&source.heap);
+        events.clone_from(&source.events);
+        free_slots.clone_from(&source.free_slots);
+        *seq = source.seq;
+        *popped = source.popped;
     }
 }
 

@@ -34,7 +34,7 @@ use vehicle_net::can::{CanBus, CanBusConfig, CanDelivery, CanFrame, CanId};
 
 use crate::config::ControlSelection;
 use crate::kernel::EventQueue;
-use crate::trace::TraceRecorder;
+use crate::trace::{RecycledTrace, TraceRecorder};
 use crate::AttackerHook;
 
 /// Command byte: open the vehicle.
@@ -175,6 +175,23 @@ impl KeylessOutcome {
     }
 }
 
+/// Every byte value in order, so a one-byte frame payload can borrow a
+/// static slice instead of allocating.
+static BYTE_VALUES: [u8; 256] = {
+    let mut values = [0; 256];
+    let mut i = 0;
+    while i < 256 {
+        values[i] = i as u8;
+        i += 1;
+    }
+    values
+};
+
+/// `byte` as a one-byte payload, without allocating.
+fn byte_payload(byte: u8) -> Bytes {
+    Bytes::from_static(std::slice::from_ref(&BYTE_VALUES[usize::from(byte)]))
+}
+
 #[derive(Clone, Copy)]
 enum OwnerAction {
     Open,
@@ -182,7 +199,6 @@ enum OwnerAction {
 }
 
 /// The running keyless world.
-#[derive(Clone)]
 pub struct KeylessWorld {
     config: KeylessConfig,
     now: SimTime,
@@ -199,6 +215,9 @@ pub struct KeylessWorld {
     frame_buf: Vec<vehicle_net::ble::BleFrame>,
     action_buf: Vec<OwnerAction>,
     delivery_buf: Vec<CanDelivery>,
+    /// The payload buffer of the envelope the gateway admits commands
+    /// in, reused from one command to the next.
+    payload_buf: Vec<u8>,
     lock_open: bool,
     transitions: u32,
     opened_at: Option<SimTime>,
@@ -214,9 +233,108 @@ pub struct KeylessWorld {
     /// The eavesdropping feed as runs of equal consecutive payloads: a
     /// flood repeating one request is one entry, not one per send.
     sniffed: Vec<(Bytes, u32)>,
-    trace: TraceRecorder,
+    trace: RecycledTrace,
     obs: Obs,
     ticks: u64,
+}
+
+impl Clone for KeylessWorld {
+    fn clone(&self) -> Self {
+        KeylessWorld {
+            config: self.config.clone(),
+            now: self.now,
+            link: self.link.clone(),
+            stack: self.stack.clone(),
+            can: self.can.clone(),
+            command_key: self.command_key,
+            config_key: self.config_key,
+            forward_limiter: self.forward_limiter.clone(),
+            owner_script: self.owner_script.clone(),
+            frame_buf: self.frame_buf.clone(),
+            action_buf: self.action_buf.clone(),
+            delivery_buf: self.delivery_buf.clone(),
+            payload_buf: self.payload_buf.clone(),
+            lock_open: self.lock_open,
+            transitions: self.transitions,
+            opened_at: self.opened_at,
+            owner_open_requested_at: self.owner_open_requested_at,
+            pending_owner_open: self.pending_owner_open,
+            open_latency: self.open_latency,
+            unauthorized_open: self.unauthorized_open,
+            entering_until: self.entering_until,
+            closed_during_entry: self.closed_during_entry,
+            gateway_node: Arc::clone(&self.gateway_node),
+            sniffed: self.sniffed.clone(),
+            trace: self.trace.clone(),
+            obs: self.obs.clone(),
+            ticks: self.ticks,
+        }
+    }
+
+    /// Copies `source` into this world, reusing every buffer it holds:
+    /// link, stack, bus and owner-script storage, the scratch buffers,
+    /// the sniffed feed and the trace. Every field is listed, so a new
+    /// one cannot be left out of the copy.
+    fn clone_from(&mut self, source: &Self) {
+        let KeylessWorld {
+            config,
+            now,
+            link,
+            stack,
+            can,
+            command_key,
+            config_key,
+            forward_limiter,
+            owner_script,
+            frame_buf,
+            action_buf,
+            delivery_buf,
+            payload_buf,
+            lock_open,
+            transitions,
+            opened_at,
+            owner_open_requested_at,
+            pending_owner_open,
+            open_latency,
+            unauthorized_open,
+            entering_until,
+            closed_during_entry,
+            gateway_node,
+            sniffed,
+            trace,
+            obs,
+            ticks,
+        } = self;
+        config.clone_from(&source.config);
+        *now = source.now;
+        link.clone_from(&source.link);
+        stack.clone_from(&source.stack);
+        can.clone_from(&source.can);
+        *command_key = source.command_key;
+        *config_key = source.config_key;
+        forward_limiter.clone_from(&source.forward_limiter);
+        owner_script.clone_from(&source.owner_script);
+        frame_buf.clone_from(&source.frame_buf);
+        action_buf.clone_from(&source.action_buf);
+        delivery_buf.clone_from(&source.delivery_buf);
+        payload_buf.clone_from(&source.payload_buf);
+        *lock_open = source.lock_open;
+        *transitions = source.transitions;
+        *opened_at = source.opened_at;
+        *owner_open_requested_at = source.owner_open_requested_at;
+        *pending_owner_open = source.pending_owner_open;
+        *open_latency = source.open_latency;
+        *unauthorized_open = source.unauthorized_open;
+        *entering_until = source.entering_until;
+        *closed_during_entry = source.closed_during_entry;
+        if !Arc::ptr_eq(gateway_node, &source.gateway_node) {
+            *gateway_node = Arc::clone(&source.gateway_node);
+        }
+        sniffed.clone_from(&source.sniffed);
+        trace.clone_from(&source.trace);
+        obs.clone_from(&source.obs);
+        *ticks = source.ticks;
+    }
 }
 
 impl std::fmt::Debug for KeylessWorld {
@@ -274,6 +392,7 @@ impl KeylessWorld {
             frame_buf: Vec::new(),
             action_buf: Vec::new(),
             delivery_buf: Vec::new(),
+            payload_buf: Vec::new(),
             lock_open: false,
             transitions: 0,
             opened_at: None,
@@ -285,7 +404,7 @@ impl KeylessWorld {
             closed_during_entry: false,
             gateway_node: Arc::from("GW"),
             sniffed: Vec::new(),
-            trace: TraceRecorder::new(),
+            trace: RecycledTrace::default(),
             obs: Obs::noop(),
             ticks: 0,
         }
@@ -355,7 +474,7 @@ impl KeylessWorld {
 
     /// The functional trace.
     pub fn trace(&self) -> &TraceRecorder {
-        &self.trace
+        self.trace.recorder()
     }
 
     /// The world configuration.
@@ -382,16 +501,13 @@ impl KeylessWorld {
                 self.now,
                 "gateway",
                 "stub-frame-filtered",
-                format!("body-control frame {cmd:#x} from untrusted segment dropped"),
+                format_args!("body-control frame {cmd:#x} from untrusted segment dropped"),
             );
             return false;
         }
-        let frame = CanFrame::new(
-            CanId::new(CAN_LOCK_CMD).expect("const id"),
-            Bytes::copy_from_slice(&[cmd]),
-            "stub",
-        )
-        .expect("stub frame");
+        let frame =
+            CanFrame::new(CanId::new(CAN_LOCK_CMD).expect("const id"), byte_payload(cmd), "stub")
+                .expect("stub frame");
         self.can.submit(frame, self.now).is_ok()
     }
 
@@ -430,7 +546,7 @@ impl KeylessWorld {
         let sender = sender.into();
         if !self.link.is_connected() {
             self.link.start_advertising(self.now);
-            if self.link.connect(&*sender, self.now).is_err() {
+            if self.link.connect(Arc::clone(&sender), self.now).is_err() {
                 return;
             }
         }
@@ -496,12 +612,12 @@ impl KeylessWorld {
                 self.forward_service(&frame.sender, frame.count);
                 continue;
             }
-            let mut envelope = Envelope::new(
-                Arc::clone(&frame.sender),
-                SimTime::from_micros(command.ts),
-                vec![command.cmd],
-            )
-            .with_claimed_id(command.key_id);
+            let mut payload = std::mem::take(&mut self.payload_buf);
+            payload.clear();
+            payload.push(command.cmd);
+            let mut envelope =
+                Envelope::new(Arc::clone(&frame.sender), SimTime::from_micros(command.ts), payload)
+                    .with_claimed_id(command.key_id);
             if command.tag != 0 {
                 envelope = envelope.with_tag(Tag::from_raw(command.tag));
             }
@@ -513,7 +629,7 @@ impl KeylessWorld {
                 if self.stack.admit(&envelope, self.now).is_accepted() {
                     let lock_cmd = CanFrame::new(
                         CanId::new(CAN_LOCK_CMD).expect("const id"),
-                        Bytes::copy_from_slice(&[command.cmd]),
+                        byte_payload(command.cmd),
                         Arc::clone(&self.gateway_node),
                     )
                     .expect("lock frame");
@@ -524,6 +640,7 @@ impl KeylessWorld {
                     break;
                 }
             }
+            self.payload_buf = envelope.into_payload();
         }
         self.frame_buf = frames;
     }
@@ -588,7 +705,7 @@ impl KeylessWorld {
         self.delivery_buf = deliveries;
     }
 
-    fn finish(self) -> KeylessOutcome {
+    fn finish(&self) -> KeylessOutcome {
         let owner_requested = self.owner_open_requested_at.is_some();
         let served_in_budget =
             self.open_latency.is_some_and(|latency| latency <= self.config.open_budget);
@@ -702,9 +819,10 @@ impl KeylessWorld {
     }
 
     /// Builds an attacker-free world under `config`, runs it to `at` and
-    /// freezes it: the warm prefix a fuzz run forks every input from, so
-    /// the run pays world construction and the prefix once. The prefix
-    /// is reached by next-event jumps, so building it is cheap.
+    /// freezes it: the warm prefix a fuzz run resets its scratch world to
+    /// before every input, so the run pays world construction and the
+    /// prefix once. The prefix is reached by next-event jumps, so
+    /// building it is cheap.
     pub fn warm_snapshot(config: KeylessConfig, at: SimTime) -> crate::WorldSnapshot<KeylessWorld> {
         let mut world = KeylessWorld::new(config);
         world.advance_unattacked(at);
@@ -715,6 +833,13 @@ impl KeylessWorld {
     /// state, flushing the tick/event counters. [`KeylessWorld::run`] is
     /// stepping to completion followed by this.
     pub fn into_outcome(self) -> KeylessOutcome {
+        self.outcome()
+    }
+
+    /// [`KeylessWorld::into_outcome`] by reference, for a world that is
+    /// reset and reused afterwards. It flushes the counters too, so call
+    /// it once per run.
+    pub fn outcome(&self) -> KeylessOutcome {
         self.obs.counter("world.keyless.ticks", self.ticks);
         self.obs.counter("sim.events.scheduled", self.owner_script.scheduled_total());
         self.obs.counter("sim.events.popped", self.owner_script.popped_total());

@@ -60,12 +60,15 @@ impl<W> AttackerHook<W> for () {
 /// A frozen world state at a point in virtual time, shared copy-on-write.
 ///
 /// Capturing a snapshot at the attack-activation time lets many mutated
-/// inputs fork from the same warm prefix instead of re-simulating it from
-/// `t = 0`: the frozen state lives once behind an [`Arc`]; each
-/// [`WorldSnapshot::fork`] deep-clones it into an independent world whose
-/// subsequent steps are bit-identical to a from-scratch run brought to
-/// the same state (the snapshot-equivalence property gating this crate's
-/// determinism contract).
+/// inputs start from the same warm prefix instead of re-simulating it
+/// from `t = 0`: the frozen state lives once behind an [`Arc`].
+/// [`WorldSnapshot::fork`] deep-clones it into an independent world;
+/// [`WorldSnapshot::reset_into`] copies it into a scratch world the
+/// caller keeps, reusing that world's buffers, so a loop running one
+/// input after another allocates no world per input. Either way the
+/// world's subsequent steps are bit-identical to a from-scratch run
+/// brought to the same state (the snapshot-equivalence property gating
+/// this crate's determinism contract).
 #[derive(Debug, Clone)]
 pub struct WorldSnapshot<W> {
     state: Arc<W>,
@@ -80,6 +83,13 @@ impl<W: Clone> WorldSnapshot<W> {
     /// Deep-clones an independent world out of the frozen prefix.
     pub fn fork(&self) -> W {
         (*self.state).clone()
+    }
+
+    /// Resets `scratch` to the frozen prefix with `Clone::clone_from`:
+    /// afterwards it runs exactly as a [`WorldSnapshot::fork`] would,
+    /// whatever it ran before, but keeps the buffers it already grew.
+    pub fn reset_into(&self, scratch: &mut W) {
+        scratch.clone_from(&self.state);
     }
 
     /// Read-only access to the frozen state.

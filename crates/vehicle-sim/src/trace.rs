@@ -6,12 +6,14 @@
 //! warnings surfaced — in a [`TraceRecorder`]; the attack executor
 //! evaluates success criteria against both.
 
+use std::fmt::{self, Write as _};
+
 use serde::{Deserialize, Serialize};
 
 use saseval_types::SimTime;
 
 /// One functional trace event.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceEvent {
     /// Virtual time of the event.
     pub at: SimTime,
@@ -23,32 +25,48 @@ pub struct TraceEvent {
     pub detail: String,
 }
 
+impl Clone for TraceEvent {
+    fn clone(&self) -> Self {
+        TraceEvent {
+            at: self.at,
+            source: self.source.clone(),
+            kind: self.kind.clone(),
+            detail: self.detail.clone(),
+        }
+    }
+
+    /// Copies `source` into this event, reusing its string buffers.
+    fn clone_from(&mut self, source: &Self) {
+        let TraceEvent { at, source: from, kind, detail } = self;
+        *at = source.at;
+        from.clone_from(&source.source);
+        kind.clone_from(&source.kind);
+        detail.clone_from(&source.detail);
+    }
+}
+
 /// An append-only functional trace.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceRecorder {
     events: Vec<TraceEvent>,
+}
+
+impl Clone for TraceRecorder {
+    fn clone(&self) -> Self {
+        TraceRecorder { events: self.events.clone() }
+    }
+
+    /// Copies `source`'s events into this trace's buffer.
+    fn clone_from(&mut self, source: &Self) {
+        let TraceRecorder { events } = self;
+        events.clone_from(&source.events);
+    }
 }
 
 impl TraceRecorder {
     /// Creates an empty trace.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Appends an event.
-    pub fn record(
-        &mut self,
-        at: SimTime,
-        source: impl Into<String>,
-        kind: impl Into<String>,
-        detail: impl Into<String>,
-    ) {
-        self.events.push(TraceEvent {
-            at,
-            source: source.into(),
-            kind: kind.into(),
-            detail: detail.into(),
-        });
     }
 
     /// All events in record order.
@@ -77,19 +95,101 @@ impl TraceRecorder {
     }
 }
 
+/// A world's trace: a [`TraceRecorder`] that keeps the events a
+/// `clone_from` drops and records later events into their string
+/// buffers. A scratch world reset to a snapshot before every fuzz input
+/// therefore records the input's events without allocating once it has
+/// recorded as many before.
+#[derive(Debug, Default)]
+pub(crate) struct RecycledTrace {
+    recorder: TraceRecorder,
+    /// Dropped events, the next one to reuse last.
+    spare: Vec<TraceEvent>,
+}
+
+impl RecycledTrace {
+    /// Appends an event; `detail` is formatted into the event's buffer.
+    pub(crate) fn record(
+        &mut self,
+        at: SimTime,
+        source: &str,
+        kind: &str,
+        detail: impl fmt::Display,
+    ) {
+        let mut event = self.spare.pop().unwrap_or_else(|| TraceEvent {
+            at,
+            source: String::new(),
+            kind: String::new(),
+            detail: String::new(),
+        });
+        event.at = at;
+        event.source.clear();
+        event.source.push_str(source);
+        event.kind.clear();
+        event.kind.push_str(kind);
+        event.detail.clear();
+        write!(event.detail, "{detail}").expect("formatting into a String cannot fail");
+        self.recorder.events.push(event);
+    }
+
+    /// The recorded trace.
+    pub(crate) fn recorder(&self) -> &TraceRecorder {
+        &self.recorder
+    }
+}
+
+impl Clone for RecycledTrace {
+    fn clone(&self) -> Self {
+        RecycledTrace { recorder: self.recorder.clone(), spare: Vec::new() }
+    }
+
+    /// Copies `source`'s events, keeping this trace's surplus events as
+    /// spares.
+    fn clone_from(&mut self, source: &Self) {
+        let RecycledTrace { recorder, spare } = self;
+        let kept = source.recorder.events.len();
+        if recorder.events.len() > kept {
+            spare.extend(recorder.events.drain(kept..).rev());
+        }
+        recorder.clone_from(&source.recorder);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn record_and_filter() {
-        let mut trace = TraceRecorder::new();
-        trace.record(SimTime::ZERO, "OBU", "warning-surfaced", "roadworks");
-        trace.record(SimTime::from_millis(3), "driver", "take-over", "manual control");
-        trace.record(SimTime::from_millis(4), "OBU", "warning-surfaced", "signage");
+        let mut recycled = RecycledTrace::default();
+        recycled.record(SimTime::ZERO, "OBU", "warning-surfaced", "roadworks");
+        recycled.record(SimTime::from_millis(3), "driver", "take-over", "manual control");
+        recycled.record(SimTime::from_millis(4), "OBU", "warning-surfaced", "signage");
+        let trace = recycled.recorder();
         assert_eq!(trace.len(), 3);
         assert_eq!(trace.of_kind("warning-surfaced").count(), 2);
         assert_eq!(trace.first_of_kind("take-over").unwrap().at, SimTime::from_millis(3));
         assert!(trace.first_of_kind("lock-open").is_none());
+    }
+
+    #[test]
+    fn recycled_trace_reuses_dropped_events() {
+        let mut snapshot = RecycledTrace::default();
+        snapshot.record(SimTime::ZERO, "OBU", "warning-surfaced", "roadworks");
+        let mut scratch = snapshot.clone();
+        scratch.record(SimTime::from_millis(1), "driver", "take-over", format_args!("{} s", 2));
+        scratch.record(SimTime::from_millis(2), "OBU", "limit-applied", "");
+        assert_eq!(scratch.recorder().events()[1].detail, "2 s");
+        scratch.clone_from(&snapshot);
+        assert_eq!(scratch.recorder(), snapshot.recorder());
+        assert_eq!(scratch.spare.len(), 2);
+        scratch.record(SimTime::from_millis(3), "lock-actuator", "lock-open", "");
+        assert_eq!(scratch.spare.len(), 1, "the first dropped event is reused first");
+        let last = scratch.recorder().events().last().expect("recorded");
+        assert_eq!(
+            (last.source.as_str(), last.kind.as_str(), last.detail.as_str()),
+            ("lock-actuator", "lock-open", "")
+        );
+        assert_eq!(last.at, SimTime::from_millis(3));
     }
 }

@@ -49,6 +49,12 @@ echo "==> V2X unread bursts: equivalence proptests in release, 256 cases"
 # sends, with jams and polls that cut bursts.
 PROPTEST_CASES=256 cargo test -q --release --test v2x_burst_equivalence
 
+echo "==> scratch-world reset: reset ≡ fork ≡ replay proptests in release, 256 cases"
+# A scratch world reset after a dirty input against a fresh fork and a
+# from-scratch replay, for both worlds and every control preset; the
+# file's other properties pin their own case counts.
+PROPTEST_CASES=256 cargo test -q --release --test snapshot_equivalence -- reset_matches
+
 echo "==> JSON writer: equivalence proptest in release, 1024 cases"
 # The streaming writer against a copy of the Value-tree walkers it
 # replaced, over random trees; default config, so PROPTEST_CASES applies.

@@ -15,7 +15,16 @@
 //!    (`advance_unattacked`, which skips or shortens provably idle
 //!    ticks) ends exactly where tick-by-tick `step(&mut ())` does:
 //!    outcome, trace, security log, `now`, every obs counter and event
-//!    (`world.*.ticks` included), and link, bus and channel statistics.
+//!    (`world.*.ticks` included), and link, bus and channel statistics;
+//! 6. a scratch world that ran a "dirty" input (a crash, a rejection,
+//!    an isolated sender, a CAN backlog or an OBU flood, possibly cut
+//!    off mid-run) and was then reset to the snapshot runs the next
+//!    input exactly as a fresh fork and a from-scratch replay of the
+//!    prefix do: outcome, trace, security log, sniffed feed, link, bus
+//!    and channel statistics, `now` and the tick counter. A long-lived oracle
+//!    answers every input as a fresh oracle would. These properties keep
+//!    proptest's default configuration, so `PROPTEST_CASES` raises their
+//!    case count.
 
 mod common;
 
@@ -245,6 +254,9 @@ enum KeylessInjection {
     /// `n` service requests: with flood protection off they back up
     /// on the CAN bus.
     ServiceFlood(usize),
+    /// `n` forged open commands in one burst: with the allow-list or
+    /// authentication deployed, ten rejections isolate the sender.
+    ForgedFlood(u32),
 }
 
 fn keyless_injection() -> impl Strategy<Value = KeylessInjection> {
@@ -274,6 +286,11 @@ fn inject_keyless(world: &mut KeylessWorld, injection: &KeylessInjection, jam_ms
             for _ in 0..*n {
                 world.send_ble("FUZZ", cmd.encode());
             }
+        }
+        KeylessInjection::ForgedFlood(n) => {
+            let cmd =
+                Command { cmd: CMD_OPEN, key_id: 0xBAD, ts: now.as_micros(), response: 0, tag: 0 };
+            world.send_ble_burst("FUZZ", cmd.encode(), *n);
         }
     }
 }
@@ -336,6 +353,9 @@ enum ConstructionInjection {
     /// `n` unread messages at once, as AD20 sends to a shut-down OBU or
     /// from an isolated sender: arrivals the channel still counts.
     UnreadFlood(usize),
+    /// `n` unsigned copies of one raw payload: with authentication
+    /// deployed, ten rejections isolate the fuzz sender.
+    RawFlood(Vec<u8>, usize),
 }
 
 fn construction_injection() -> impl Strategy<Value = ConstructionInjection> {
@@ -377,6 +397,13 @@ fn inject_construction(
         ConstructionInjection::UnreadFlood(n) => {
             for _ in 0..*n {
                 world.channel_mut().broadcast_unread(now);
+            }
+        }
+        ConstructionInjection::RawFlood(bytes, n) => {
+            let kind = u16::from(bytes.first().copied().unwrap_or(0));
+            for _ in 0..*n {
+                let msg = V2xMessage::new("FUZZ", kind, Bytes::copy_from_slice(bytes), now);
+                world.channel_mut().broadcast(msg, now);
             }
         }
     }
@@ -571,4 +598,174 @@ fn construction_advance_polls_unread_arrivals() {
     inject_construction(&mut world, &ConstructionInjection::UnreadFlood(40), None);
     assert!(!world.channel_mut().is_idle(), "unread arrivals are in flight");
     assert_construction_advance_equivalent(&world, &[SimTime::from_micros(1_010_001)]);
+}
+
+// ---------------------------------------------------------------------
+// Property 6: a scratch world reset after a dirty input runs the next
+// input exactly as a fresh fork and a from-scratch replay do.
+// ---------------------------------------------------------------------
+
+/// The fuzz scenarios' control presets: everything, nothing, and
+/// authentication only.
+fn preset(selector: u8) -> ControlSelection {
+    match selector % 3 {
+        0 => ControlSelection::all(),
+        1 => ControlSelection::none(),
+        _ => ControlSelection::auth_only(),
+    }
+}
+
+/// Inputs that leave a keyless world dirty: every injection of
+/// property 5 plus sender-isolating floods.
+fn dirty_keyless_input() -> impl Strategy<Value = KeylessInjection> {
+    prop_oneof![keyless_injection(), (10u32..40).prop_map(KeylessInjection::ForgedFlood)]
+}
+
+/// Inputs that leave a construction world dirty: every injection of
+/// property 5 plus sender-isolating floods.
+fn dirty_construction_input() -> impl Strategy<Value = ConstructionInjection> {
+    prop_oneof![
+        construction_injection(),
+        (proptest::collection::vec(any::<u8>(), 0..8), 10usize..40)
+            .prop_map(|(bytes, n)| ConstructionInjection::RawFlood(bytes, n)),
+    ]
+}
+
+/// Where a dirty run stops: `None` runs it to the end, `Some(ms)` cuts
+/// it off `ms` after the prefix, with its traffic still in flight.
+fn dirty_run_end(prefix: SimTime, cut_ms: Option<u64>) -> SimTime {
+    cut_ms.map_or(SimTime::MAX, |ms| prefix + Ftti::from_millis(ms))
+}
+
+proptest! {
+    /// Keyless: reset after a dirty input ≡ fresh fork ≡ replay.
+    #[test]
+    fn keyless_reset_matches_fork_and_replay(
+        seed in any::<u64>(),
+        controls in 0u8..3,
+        attack_ms in 0u64..1_500,
+        owner in proptest::option::of((0u64..2_000, 0u64..2_000)),
+        dirty in dirty_keyless_input(),
+        dirty_jam_ms in proptest::option::of(0u64..3_000),
+        dirty_cut_ms in proptest::option::of(0u64..300),
+        input in keyless_injection(),
+    ) {
+        let config = KeylessConfig {
+            seed,
+            controls: preset(controls),
+            horizon: Ftti::from_millis(2_000),
+            ..Default::default()
+        };
+        let attack_at = SimTime::from_millis(attack_ms);
+        let prefix = || {
+            let mut world = KeylessWorld::new(config.clone());
+            if let Some((open_ms, close_ms)) = owner {
+                world.schedule_owner_open(SimTime::from_millis(open_ms));
+                world.schedule_owner_close(SimTime::from_millis(close_ms));
+            }
+            world.advance_unattacked(attack_at);
+            world
+        };
+        let run = |mut world: KeylessWorld| {
+            let (obs, recorder) = Obs::memory();
+            world = world.with_obs(obs);
+            inject_keyless(&mut world, &input, None);
+            world.advance_unattacked(SimTime::MAX);
+            let sniffed: Vec<&[u8]> = world.sniffed().map(|payload| payload.as_ref()).collect();
+            let sniffed = json(&sniffed);
+            format!("{sniffed}\n{}", keyless_observation(world, &recorder))
+        };
+        let snapshot = prefix().snapshot();
+
+        let mut scratch = snapshot.fork();
+        inject_keyless(&mut scratch, &dirty, dirty_jam_ms);
+        scratch.advance_unattacked(dirty_run_end(scratch.now(), dirty_cut_ms));
+        let _ = scratch.outcome();
+        snapshot.reset_into(&mut scratch);
+
+        let reset = run(scratch);
+        prop_assert_eq!(&reset, &run(snapshot.fork()));
+        prop_assert_eq!(&reset, &run(prefix()));
+    }
+
+    /// Construction: reset after a dirty input ≡ fresh fork ≡ replay.
+    #[test]
+    fn construction_reset_matches_fork_and_replay(
+        seed in any::<u64>(),
+        controls in 0u8..3,
+        v2x in 0u8..3,
+        (background, extra_rsus) in (0u16..3, 0u16..2),
+        site_m in 150u16..1_500,
+        speed in 15.0f64..35.0,
+        attack_ms in 0u64..2_500,
+        dirty in dirty_construction_input(),
+        dirty_jam_ms in proptest::option::of(0u64..3_000),
+        dirty_cut_ms in proptest::option::of(0u64..300),
+        input in construction_injection(),
+    ) {
+        let config = ConstructionConfig {
+            seed,
+            controls: preset(controls),
+            v2x: v2x_profile(v2x),
+            background_senders: background,
+            extra_rsus,
+            site_position_m: f64::from(site_m),
+            initial_speed_mps: speed,
+            horizon: Ftti::from_secs(3),
+            ..Default::default()
+        };
+        let attack_at = SimTime::from_millis(attack_ms);
+        let prefix = || {
+            let mut world = ConstructionWorld::new(config.clone());
+            world.advance_unattacked(attack_at);
+            world
+        };
+        let run = |mut world: ConstructionWorld| {
+            let (obs, recorder) = Obs::memory();
+            world = world.with_obs(obs);
+            inject_construction(&mut world, &input, None);
+            world.advance_unattacked(SimTime::MAX);
+            let sniffed = json(&world.sniffed());
+            format!("{sniffed}\n{}", construction_observation(world, &recorder))
+        };
+        let snapshot = prefix().snapshot();
+
+        let mut scratch = snapshot.fork();
+        inject_construction(&mut scratch, &dirty, dirty_jam_ms);
+        scratch.advance_unattacked(dirty_run_end(scratch.now(), dirty_cut_ms));
+        let _ = scratch.outcome();
+        snapshot.reset_into(&mut scratch);
+
+        let reset = run(scratch);
+        prop_assert_eq!(&reset, &run(snapshot.fork()));
+        prop_assert_eq!(&reset, &run(prefix()));
+    }
+
+    /// A long-lived oracle, whose scratch world every input dirties,
+    /// answers each input of a stream as a fresh oracle does.
+    #[test]
+    fn sim_oracle_reset_matches_fresh_oracle(
+        controls in 0u8..3,
+        attack_ms in 0u64..1_500,
+        inputs in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..40), 1..12),
+        keyless in any::<bool>(),
+    ) {
+        let attack_at = SimTime::from_millis(attack_ms);
+        let oracle = if keyless {
+            let config = KeylessConfig { controls: preset(controls), ..Default::default() };
+            SimOracle::keyless(KeylessConfig { horizon: Ftti::from_secs(2), ..config }, attack_at)
+        } else {
+            let config = ConstructionConfig {
+                controls: preset(controls),
+                horizon: Ftti::from_secs(2),
+                ..Default::default()
+            };
+            SimOracle::construction(config, attack_at)
+        };
+        let mut long_lived = oracle.clone();
+        for input in &inputs {
+            let expected = oracle.clone().respond(input);
+            prop_assert_eq!(long_lived.respond(input), expected);
+        }
+    }
 }
