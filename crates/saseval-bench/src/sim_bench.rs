@@ -108,7 +108,7 @@ pub fn measure_sim_strategies(
             world.run_until(attack_at, &mut ());
             world.send_ble(FUZZ_SENDER, input.clone());
             while world.step(&mut ()) {}
-            let rejected = world.security_log().events().iter().any(|e| e.sender == FUZZ_SENDER);
+            let rejected = world.security_log().events().iter().any(|e| &*e.sender == FUZZ_SENDER);
             replayed.push(if world.into_outcome().any_violation() {
                 TargetResponse::Crash
             } else if rejected {

@@ -149,7 +149,7 @@ impl FuzzTarget for SimOracle {
                 world.send_ble(Arc::clone(&self.sender), input.to_vec());
                 world.advance_unattacked(SimTime::MAX);
                 let rejected =
-                    world.security_log().events().iter().any(|e| e.sender == FUZZ_SENDER);
+                    world.security_log().events().iter().any(|e| &*e.sender == FUZZ_SENDER);
                 classify(world.outcome().any_violation(), rejected)
             }
             Scenario::Construction(scratch) => {
@@ -157,7 +157,7 @@ impl FuzzTarget for SimOracle {
                 inject_construction(world, &self.sender, input);
                 world.advance_unattacked(SimTime::MAX);
                 let rejected =
-                    world.security_log().events().iter().any(|e| e.sender == FUZZ_SENDER);
+                    world.security_log().events().iter().any(|e| &*e.sender == FUZZ_SENDER);
                 classify(world.outcome().any_violation(), rejected)
             }
         }

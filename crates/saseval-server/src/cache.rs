@@ -23,9 +23,15 @@
 //! <dir>/00000000.seg   record record record …
 //! <dir>/00000001.seg   record record …
 //!
-//! record = magic (8) | key (8) | payload len (8) | payload fnv1a64 (8)
-//!          | code-version fnv1a64 (8) | payload bytes
+//! record = magic (8) | key (8) | payload len (8) | payload checksum (8)
+//!          | version hash (8) | payload bytes
 //! ```
+//!
+//! The checksum is `record_checksum`, a word-at-a-time FNV-style hash
+//! that an insert computes before it takes the disk lock. The version
+//! hash is the fnv1a64 of the code-version fingerprint with a
+//! record-format tag folded in, so records of an earlier checksum read
+//! as another version's.
 //!
 //! An insert is one vectored write of header plus payload to the segment
 //! this process appends to; the index (`key → segment, offset, length`)
@@ -52,17 +58,17 @@
 //! they can take, so several caches, in one process or many, may share
 //! a directory without deleting a segment under a live writer.
 //!
-//! A lookup that misses the index costs no syscall. A hit is one
-//! positioned read of header plus payload on the segment's kept-open
-//! handle, straight into the allocation that becomes the framed entry.
-//! The header must carry the looked-up key, the indexed length, this
-//! cache's code version and the payload's hash. Any mismatch is treated
-//! as a miss and drops the index entry (counted under
-//! [`CacheStats::corrupt`]), so a corrupted store degrades to
-//! recomputation instead of serving bad bytes. Opening a cache deletes
-//! the files of the earlier file-per-entry layout (`<key>.bin`,
-//! `<key>.json` and their `.tmp` siblings), which nothing reads any
-//! more; every other file is left alone.
+//! A lookup that misses the index costs no syscall. A hit is two
+//! positioned reads on the segment's kept-open handle: the header, then
+//! the payload straight into its place in the allocation that becomes
+//! the framed entry. The header must carry the looked-up key, the
+//! indexed length and this cache's version hash, and the payload its
+//! checksum. Any mismatch is treated as a miss and drops the index
+//! entry (counted under [`CacheStats::corrupt`]), so a corrupted store
+//! degrades to recomputation instead of serving bad bytes. Opening a
+//! cache deletes the files of the earlier file-per-entry layout
+//! (`<key>.bin`, `<key>.json` and their `.tmp` siblings), which nothing
+//! reads any more; every other file is left alone.
 //!
 //! With [`ResultCache::with_disk_cap`], the disk tier bounds its payload
 //! bytes: the segment being appended to rolls over once it holds a
@@ -82,7 +88,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use saseval_types::hash::fnv1a64;
+use saseval_types::hash::{fnv1a64, fnv1a64_extend, FNV_OFFSET_BASIS, FNV_PRIME};
 
 use crate::job::code_version;
 
@@ -124,20 +130,27 @@ impl FramedPayload {
     /// the line terminator).
     pub const SUFFIX: &'static [u8] = b"}\n";
 
-    /// Frames raw canonical payload bytes (one allocation, exact size).
+    /// Frames raw canonical payload bytes: one allocation of exact
+    /// size, one copy of the payload.
     pub fn frame(payload: &[u8]) -> Self {
-        let mut bytes = Vec::with_capacity(Self::PREFIX.len() + payload.len() + Self::SUFFIX.len());
-        bytes.extend_from_slice(Self::PREFIX);
-        bytes.extend_from_slice(payload);
-        bytes.extend_from_slice(Self::SUFFIX);
-        FramedPayload { bytes: bytes.into() }
+        Self::fill(payload.len(), |dst| {
+            dst.copy_from_slice(payload);
+            Ok(())
+        })
+        .expect("copying into the frame cannot fail")
     }
 
-    /// Adopts an already-framed buffer (the disk tier builds the
-    /// framing in place while streaming the payload off disk).
-    fn from_framed(bytes: Vec<u8>) -> Self {
-        debug_assert!(bytes.starts_with(Self::PREFIX) && bytes.ends_with(Self::SUFFIX));
-        FramedPayload { bytes: bytes.into() }
+    /// Allocates the framing around a zeroed `len`-byte payload slot and
+    /// has `fill` write the payload into it: the payload reaches its
+    /// final place in one pass, from memory or straight off disk.
+    fn fill(len: usize, fill: impl FnOnce(&mut [u8]) -> io::Result<()>) -> io::Result<Self> {
+        let (prefix, suffix) = (Self::PREFIX.len(), Self::SUFFIX.len());
+        let mut bytes: Arc<[u8]> = std::iter::repeat_n(0, prefix + len + suffix).collect();
+        let buf = Arc::get_mut(&mut bytes).expect("a new allocation is unshared");
+        buf[..prefix].copy_from_slice(Self::PREFIX);
+        fill(&mut buf[prefix..prefix + len])?;
+        buf[prefix + len..].copy_from_slice(Self::SUFFIX);
+        Ok(FramedPayload { bytes })
     }
 
     /// The full tail bytes (`,"payload":…}\n`), spliced verbatim after
@@ -246,7 +259,7 @@ impl ResultCache {
     pub fn with_version(mem_capacity: usize, disk: Option<PathBuf>, version: String) -> Self {
         ResultCache {
             mem: Mutex::new(Lru { entries: VecDeque::new(), capacity: mem_capacity.max(1) }),
-            disk: disk.map(|dir| Mutex::new(DiskTier::open(dir, fnv1a64(version.as_bytes())))),
+            disk: disk.map(|dir| Mutex::new(DiskTier::open(dir, record_version_hash(&version)))),
             stats: CacheStats::default(),
         }
     }
@@ -287,8 +300,11 @@ impl ResultCache {
         let framed = FramedPayload::frame(payload);
         lock(&self.mem).insert(key, framed.clone());
         if let Some(disk) = &self.disk {
+            // Checksummed before the lock is taken, so other workers'
+            // inserts and disk lookups never wait on the pass.
+            let checksum = record_checksum(payload);
             let mut tier = lock(disk);
-            if tier.append(key, payload).is_ok() {
+            if tier.append(key, payload, checksum).is_ok() {
                 let evicted = tier.evict();
                 self.stats.evicted.fetch_add(evicted, Ordering::Relaxed);
             }
@@ -322,9 +338,52 @@ impl ResultCache {
 /// Leading bytes of every record.
 const RECORD_MAGIC: [u8; 8] = *b"SSVCACH1";
 
-/// Record header length: magic, key, payload length, payload hash,
-/// code-version hash.
+/// Names the record format — the checksum [`record_checksum`] computes —
+/// inside the version hash records carry. Records written under the
+/// earlier FNV-1a payload hash lack it, so they read as another
+/// version's: never indexed, and their segments are swept once dead.
+const RECORD_FORMAT: &[u8] = b"\0checksum=fnv-word64-xs32";
+
+/// Record header length: magic, key, payload length, payload checksum,
+/// version hash.
 const HEADER_LEN: usize = 40;
+
+/// The version hash of records written by this build under the code
+/// version `version`: its fnv1a64 with [`RECORD_FORMAT`] folded in.
+fn record_version_hash(version: &str) -> u64 {
+    fnv1a64_extend(fnv1a64(version.as_bytes()), RECORD_FORMAT)
+}
+
+/// The payload checksum a record's header carries: an FNV-style pass
+/// over little-endian 64-bit words (the last one zero-padded), seeded
+/// with the payload length, each step a multiply by the FNV prime and a
+/// 32-bit xorshift.
+///
+/// Each step is a bijection of the running state for a fixed word and of
+/// the word for a fixed state, so any change confined to one word, a
+/// single flipped bit among them, always changes the result; so does a
+/// change of length alone. The xorshift carries the top bit's change
+/// down into the low half: without it, a flip of bit 63 only ever
+/// changes bit 63 of the product, and two such flips in different
+/// words cancel.
+fn record_checksum(payload: &[u8]) -> u64 {
+    fn step(hash: u64, word: u64) -> u64 {
+        let hash = (hash ^ word).wrapping_mul(FNV_PRIME);
+        hash ^ (hash >> 32)
+    }
+    let mut words = payload.chunks_exact(8);
+    let mut hash = FNV_OFFSET_BASIS ^ payload.len() as u64;
+    for word in &mut words {
+        hash = step(hash, u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        hash = step(hash, u64::from_le_bytes(last));
+    }
+    hash
+}
 
 /// File extension of segment files.
 const SEGMENT_EXT: &str = "seg";
@@ -334,7 +393,7 @@ const SEGMENT_EXT: &str = "seg";
 struct RecordHeader {
     key: u64,
     len: u64,
-    payload_hash: u64,
+    checksum: u64,
     version_hash: u64,
 }
 
@@ -342,8 +401,7 @@ impl RecordHeader {
     fn encode(&self) -> [u8; HEADER_LEN] {
         let mut bytes = [0u8; HEADER_LEN];
         bytes[..8].copy_from_slice(&RECORD_MAGIC);
-        for (i, field) in
-            [self.key, self.len, self.payload_hash, self.version_hash].iter().enumerate()
+        for (i, field) in [self.key, self.len, self.checksum, self.version_hash].iter().enumerate()
         {
             bytes[8 + 8 * i..16 + 8 * i].copy_from_slice(&field.to_le_bytes());
         }
@@ -362,14 +420,14 @@ impl RecordHeader {
         Some(RecordHeader {
             key: field(0),
             len: field(1),
-            payload_hash: field(2),
+            checksum: field(2),
             version_hash: field(3),
         })
     }
 }
 
 /// Where the newest record of a key lives: 16 bytes, no heap
-/// allocation of its own. The payload hash and code version stay in
+/// allocation of its own. The checksum and version hash stay in
 /// the record header, which a lookup's one read fetches with the
 /// payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -395,7 +453,7 @@ struct Segment {
 #[derive(Debug)]
 struct DiskTier {
     dir: PathBuf,
-    /// fnv1a64 of the code-version fingerprint records are written
+    /// The version hash ([`record_version_hash`]) records are written
     /// under and must carry to be served.
     version_hash: u64,
     cap: Option<u64>,
@@ -514,8 +572,9 @@ impl DiskTier {
         (records, payload_bytes)
     }
 
-    /// Appends one record and indexes it once the write has returned.
-    fn append(&mut self, key: u64, payload: &[u8]) -> io::Result<()> {
+    /// Appends one record, whose payload's [`record_checksum`] is
+    /// `checksum`, and indexes it once the write has returned.
+    fn append(&mut self, key: u64, payload: &[u8], checksum: u64) -> io::Result<()> {
         let len = u32::try_from(payload.len())
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "payload over 4 GiB"))?;
         if let (Some(cap), Some((number, _))) = (self.cap, self.active) {
@@ -527,12 +586,8 @@ impl DiskTier {
             Some(active) => active,
             None => self.create_segment()?,
         };
-        let header = RecordHeader {
-            key,
-            len: u64::from(len),
-            payload_hash: fnv1a64(payload),
-            version_hash: self.version_hash,
-        };
+        let header =
+            RecordHeader { key, len: u64::from(len), checksum, version_hash: self.version_hash };
         let segment = self.segments.get_mut(&number).expect("the active segment is open");
         if let Err(e) = write_record(&segment.file, &header.encode(), payload) {
             // The segment may now end in a torn record; later appends
@@ -662,30 +717,22 @@ fn is_legacy_entry(name: &OsStr) -> bool {
         && matches!(ext, ".bin" | ".json" | ".bin.tmp" | ".json.tmp")
 }
 
-/// Reads the record `slot` points at — header and payload in one
-/// positioned read into the allocation that becomes the framed entry —
-/// and verifies the header's magic, key, length, code version and
-/// payload hash. The payload then slides down over the header's place
-/// to sit behind the framing prefix.
+/// Reads the record `slot` points at and verifies it: the header's
+/// magic, key, length and version hash first, then the payload, read
+/// straight into its place in the framed entry, against the header's
+/// checksum.
 fn read_record(file: &File, slot: Slot, key: u64, version_hash: u64) -> Option<FramedPayload> {
-    let len = slot.len as usize;
-    let mut framed = Vec::with_capacity(HEADER_LEN + len + FramedPayload::SUFFIX.len());
-    framed.resize(HEADER_LEN + len, 0);
-    read_exact_at(file, &mut framed, slot.offset).ok()?;
-    let header = RecordHeader::decode(framed[..HEADER_LEN].try_into().expect("header-sized"))?;
-    let verified = header.key == key
-        && header.len == u64::from(slot.len)
-        && header.version_hash == version_hash
-        && header.payload_hash == fnv1a64(&framed[HEADER_LEN..]);
-    if !verified {
+    let mut header = [0u8; HEADER_LEN];
+    read_exact_at(file, &mut header, slot.offset).ok()?;
+    let header = RecordHeader::decode(&header)?;
+    if header.key != key || header.len != u64::from(slot.len) || header.version_hash != version_hash
+    {
         return None;
     }
-    let prefix = FramedPayload::PREFIX.len();
-    framed.copy_within(HEADER_LEN.., prefix);
-    framed[..prefix].copy_from_slice(FramedPayload::PREFIX);
-    framed.truncate(prefix + len);
-    framed.extend_from_slice(FramedPayload::SUFFIX);
-    Some(FramedPayload::from_framed(framed))
+    let payload_at = slot.offset + HEADER_LEN as u64;
+    let framed =
+        FramedPayload::fill(slot.len as usize, |dst| read_exact_at(file, dst, payload_at)).ok()?;
+    (record_checksum(framed.payload()) == header.checksum).then_some(framed)
 }
 
 #[cfg(unix)]

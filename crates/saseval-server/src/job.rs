@@ -496,7 +496,7 @@ impl JobPayload {
     /// payloads serialize to equal bytes — the byte-identity contract
     /// the cache and its proptest rely on.
     pub fn to_bytes(&self) -> Vec<u8> {
-        serde_json::to_string(self).expect("job payloads always serialize").into_bytes()
+        serde_json::to_vec(self).expect("job payloads always serialize")
     }
 }
 

@@ -51,8 +51,7 @@ pub fn content_hash(bytes: &[u8]) -> String {
 /// every artifact node a stable content address for incremental
 /// re-analysis and cache keying.
 pub fn stable_hash<T: serde::Serialize>(value: &T) -> u64 {
-    let json = serde_json::to_string(value).expect("hashable values always serialize");
-    fnv1a64(json.as_bytes())
+    fnv1a64(&serde_json::to_vec(value).expect("hashable values always serialize"))
 }
 
 #[cfg(test)]

@@ -7,21 +7,27 @@
 //! virtual timestamp. The attack executor evaluates "Attack Fails"
 //! criteria against it.
 
+use std::borrow::Cow;
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use saseval_types::SimTime;
 
-/// One recorded security event.
+/// One recorded security event. The control and sender names are shared
+/// with the stack and the envelope, and a fixed detail text is borrowed,
+/// so recording a rejection allocates nothing beyond the log's own
+/// buffer; all three serialize as plain strings.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SecurityEvent {
     /// Virtual time of the event.
     pub at: SimTime,
     /// The control that raised the event.
-    pub control: String,
+    pub control: Arc<str>,
     /// The sender the event concerns.
-    pub sender: String,
+    pub sender: Arc<str>,
     /// Event detail (reject reason, isolation notice, …).
-    pub detail: String,
+    pub detail: Cow<'static, str>,
 }
 
 /// An append-only security event log.
@@ -48,13 +54,14 @@ impl SecurityLog {
         Self::default()
     }
 
-    /// Appends an event.
+    /// Appends an event. Passing shared names and a `&'static str`
+    /// detail makes the entry allocation-free.
     pub fn record(
         &mut self,
         at: SimTime,
-        control: impl Into<String>,
-        sender: impl Into<String>,
-        detail: impl Into<String>,
+        control: impl Into<Arc<str>>,
+        sender: impl Into<Arc<str>>,
+        detail: impl Into<Cow<'static, str>>,
     ) {
         self.events.push(SecurityEvent {
             at,
@@ -71,12 +78,12 @@ impl SecurityLog {
 
     /// Events raised by the named control.
     pub fn by_control<'a>(&'a self, control: &'a str) -> impl Iterator<Item = &'a SecurityEvent> {
-        self.events.iter().filter(move |e| e.control == control)
+        self.events.iter().filter(move |e| *e.control == *control)
     }
 
     /// Events concerning the named sender.
     pub fn by_sender<'a>(&'a self, sender: &'a str) -> impl Iterator<Item = &'a SecurityEvent> {
-        self.events.iter().filter(move |e| e.sender == sender)
+        self.events.iter().filter(move |e| *e.sender == *sender)
     }
 
     /// Whether any event matches the predicate — the hook the attack
@@ -111,6 +118,24 @@ mod tests {
         assert_eq!(log.by_control("mac").count(), 2);
         assert_eq!(log.by_sender("attacker").count(), 2);
         assert!(log.any(|e| e.detail.contains("rate")));
-        assert!(!log.any(|e| e.control == "allow-list"));
+        assert!(!log.any(|e| &*e.control == "allow-list"));
+    }
+
+    #[test]
+    fn events_serialize_as_plain_strings() {
+        let mut log = SecurityLog::new();
+        log.record(SimTime::from_millis(1), "mac", Arc::<str>::from("RSU-1"), "bad tag");
+        log.record(SimTime::from_millis(2), "mac", "RSU-1", format!("after {} tries", 3));
+        let json = serde_json::to_string(&log).unwrap();
+        let at = |ms| serde_json::to_string(&SimTime::from_millis(ms)).unwrap();
+        assert_eq!(
+            json,
+            format!(
+                r#"{{"events":[{{"at":{},"control":"mac","sender":"RSU-1","detail":"bad tag"}},{{"at":{},"control":"mac","sender":"RSU-1","detail":"after 3 tries"}}]}}"#,
+                at(1),
+                at(2)
+            )
+        );
+        assert_eq!(serde_json::from_str::<SecurityLog>(&json).unwrap(), log);
     }
 }

@@ -1,9 +1,10 @@
 //! The [`SecurityControl`] trait and the composing [`ControlStack`].
 
 use std::any::Any;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 use serde::{Deserialize, Serialize};
 
@@ -33,19 +34,28 @@ pub enum RejectReason {
     Implausible(String),
 }
 
+impl RejectReason {
+    /// The reason's text, borrowed for every reason but
+    /// [`RejectReason::Implausible`], whose text names its cause.
+    pub fn detail(&self) -> Cow<'static, str> {
+        Cow::Borrowed(match self {
+            RejectReason::BadMac => "authentication tag missing or invalid",
+            RejectReason::Stale => "message outside the freshness window",
+            RejectReason::Replayed => "message replayed",
+            RejectReason::Flooding => "sender rate limit exceeded",
+            RejectReason::SenderIsolated => "sender isolated as unwanted",
+            RejectReason::NotAllowed => "electronic ID not on the allow-list",
+            RejectReason::BadChallengeResponse => "challenge response missing or invalid",
+            RejectReason::Implausible(_) => return self.to_string().into(),
+        })
+    }
+}
+
 impl fmt::Display for RejectReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RejectReason::BadMac => write!(f, "authentication tag missing or invalid"),
-            RejectReason::Stale => write!(f, "message outside the freshness window"),
-            RejectReason::Replayed => write!(f, "message replayed"),
-            RejectReason::Flooding => write!(f, "sender rate limit exceeded"),
-            RejectReason::SenderIsolated => write!(f, "sender isolated as unwanted"),
-            RejectReason::NotAllowed => write!(f, "electronic ID not on the allow-list"),
-            RejectReason::BadChallengeResponse => {
-                write!(f, "challenge response missing or invalid")
-            }
             RejectReason::Implausible(why) => write!(f, "implausible content: {why}"),
+            fixed => f.write_str(&fixed.detail()),
         }
     }
 }
@@ -151,6 +161,11 @@ pub(crate) fn clone_map_from<K: Ord + Clone, V: Clone>(
 /// Default broken-message threshold after which a sender is isolated.
 pub const DEFAULT_ISOLATION_THRESHOLD: u32 = 10;
 
+/// The security-log control name of the broken-message counter, shared
+/// by every event it records.
+static BROKEN_MESSAGE_COUNTER: LazyLock<Arc<str>> =
+    LazyLock::new(|| Arc::from("broken-message-counter"));
+
 /// An ordered stack of security controls plus the Table VI
 /// *broken-message counter*: each rejection increments the sending
 /// identity's counter; at the isolation threshold the sender is declared
@@ -159,6 +174,8 @@ pub const DEFAULT_ISOLATION_THRESHOLD: u32 = 10;
 pub struct ControlStack {
     owner: String,
     controls: Vec<Box<dyn SecurityControl>>,
+    /// Each control's name, shared by the log events it raises.
+    names: Vec<Arc<str>>,
     /// Keyed by the envelope's shared sender: recording a known sender
     /// allocates nothing, a new one clones a pointer.
     broken_counter: BTreeMap<Arc<str>, u32>,
@@ -174,6 +191,7 @@ impl Clone for ControlStack {
         ControlStack {
             owner: self.owner.clone(),
             controls: self.controls.clone(),
+            names: self.names.clone(),
             broken_counter: self.broken_counter.clone(),
             isolated: self.isolated.clone(),
             isolation_threshold: self.isolation_threshold,
@@ -191,6 +209,7 @@ impl Clone for ControlStack {
         let ControlStack {
             owner,
             controls,
+            names,
             broken_counter,
             isolated,
             isolation_threshold,
@@ -200,6 +219,13 @@ impl Clone for ControlStack {
         } = self;
         owner.clone_from(&source.owner);
         controls.clone_from(&source.controls);
+        // Names are fixed at `push`, so a scratch stack already shares
+        // its snapshot's: skip the refcount traffic of re-cloning them.
+        if !(names.len() == source.names.len()
+            && names.iter().zip(&source.names).all(|(a, b)| Arc::ptr_eq(a, b)))
+        {
+            names.clone_from(&source.names);
+        }
         clone_map_from(broken_counter, &source.broken_counter, |count| *count = 0);
         if *isolated != source.isolated {
             isolated.clone_from(&source.isolated);
@@ -229,6 +255,7 @@ impl ControlStack {
         ControlStack {
             owner: owner.into(),
             controls: Vec::new(),
+            names: Vec::new(),
             broken_counter: BTreeMap::new(),
             isolated: BTreeMap::new(),
             isolation_threshold: DEFAULT_ISOLATION_THRESHOLD,
@@ -240,6 +267,7 @@ impl ControlStack {
 
     /// Appends a control (consulted after the ones already pushed).
     pub fn push(&mut self, control: impl SecurityControl + 'static) -> &mut Self {
+        self.names.push(Arc::from(control.name()));
         self.controls.push(Box::new(control));
         self
     }
@@ -255,16 +283,21 @@ impl ControlStack {
             self.rejected += 1;
             self.log.record(
                 now,
-                "broken-message-counter",
-                envelope.sender(),
+                Arc::clone(&BROKEN_MESSAGE_COUNTER),
+                Arc::clone(envelope.shared_sender()),
                 "message from isolated sender dropped",
             );
             return Verdict::Rejected(RejectReason::SenderIsolated);
         }
-        for control in &mut self.controls {
+        for (control, name) in self.controls.iter_mut().zip(&self.names) {
             if let Err(reason) = control.check(envelope, now) {
                 self.rejected += 1;
-                self.log.record(now, control.name(), envelope.sender(), reason.to_string());
+                self.log.record(
+                    now,
+                    Arc::clone(name),
+                    Arc::clone(envelope.shared_sender()),
+                    reason.detail(),
+                );
                 let counter = match self.broken_counter.get_mut(envelope.sender()) {
                     Some(counter) => counter,
                     None => {
@@ -276,8 +309,8 @@ impl ControlStack {
                     self.isolated.insert(Arc::clone(envelope.shared_sender()), now);
                     self.log.record(
                         now,
-                        "broken-message-counter",
-                        envelope.sender(),
+                        Arc::clone(&BROKEN_MESSAGE_COUNTER),
+                        Arc::clone(envelope.shared_sender()),
                         format!(
                             "unwanted sender identified after {counter} broken messages; isolated"
                         ),
@@ -388,7 +421,7 @@ mod tests {
         assert!(!verdict.is_accepted());
         assert_eq!(stack.counts(), (0, 1));
         assert_eq!(stack.log().len(), 1);
-        assert_eq!(stack.log().events()[0].control, "reject-ff");
+        assert_eq!(&*stack.log().events()[0].control, "reject-ff");
         assert_eq!(stack.log().events()[0].at, SimTime::from_millis(3));
     }
 
@@ -458,5 +491,9 @@ mod tests {
     fn reject_reason_display() {
         assert_eq!(RejectReason::Replayed.to_string(), "message replayed");
         assert!(RejectReason::Implausible("x".into()).to_string().contains("x"));
+        // The log's detail is the same text, borrowed when it is fixed.
+        assert!(matches!(RejectReason::Replayed.detail(), Cow::Borrowed("message replayed")));
+        let implausible = RejectReason::Implausible("x".into());
+        assert_eq!(implausible.detail(), implausible.to_string());
     }
 }

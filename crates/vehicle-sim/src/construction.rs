@@ -743,7 +743,7 @@ impl ConstructionWorld {
             .filter(|e| e.detail.contains("unwanted sender"))
             .collect();
         let isolated_at = isolation_events.first().map(|e| e.at);
-        let isolated_senders = isolation_events.iter().map(|e| e.sender.clone()).collect();
+        let isolated_senders = isolation_events.iter().map(|e| e.sender.to_string()).collect();
         ConstructionOutcome {
             entered_zone_at: self.now,
             entry_speed_mps: self.vehicle.speed_mps(),

@@ -717,7 +717,7 @@ impl KeylessWorld {
             .filter(|e| e.detail.contains("unwanted sender"))
             .collect();
         let isolated_at = isolation_events.first().map(|e| e.at);
-        let isolated_senders = isolation_events.iter().map(|e| e.sender.clone()).collect();
+        let isolated_senders = isolation_events.iter().map(|e| e.sender.to_string()).collect();
         KeylessOutcome {
             lock_open: self.lock_open,
             opened_at: self.opened_at,

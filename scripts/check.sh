@@ -60,6 +60,12 @@ echo "==> JSON writer: equivalence proptest in release, 1024 cases"
 # replaced, over random trees; default config, so PROPTEST_CASES applies.
 PROPTEST_CASES=1024 cargo test -q --release --test json_writer_equivalence
 
+echo "==> disk cache records: checksum properties in release, 256 cases"
+# Single-bit flips, top-bit flip pairs, word swaps and length-matched
+# truncations of a record must all read as corrupt after a reopen;
+# default config, so PROPTEST_CASES applies.
+PROPTEST_CASES=256 cargo test -q --release -p saseval-server --test record_checksum
+
 echo "==> sharded fuzzing smoke: repro_tables fuzz --fuzz-shards 2"
 cargo run -q --release -p saseval-bench --bin repro_tables -- fuzz --fuzz-shards 2
 

@@ -9,12 +9,19 @@
 //! non-control text, stringified integer keys, unit variants as strings
 //! and empty `[]`/`{}` in pretty output.
 //!
-//! The property keeps proptest's default configuration, so the
-//! `PROPTEST_CASES` environment variable raises its case count.
+//! Byte slices (`Vec<u8>`, `&[u8]`, `[u8; N]`, `Bytes`) take their own
+//! path: `u8`'s `serialize_slice` hands the whole slice to the writer,
+//! which renders compact arrays through a digit table. Their text must
+//! still equal the reference walk of the same integers, compact and
+//! pretty, nested or not, and `to_vec` must be `to_string`'s bytes.
+//!
+//! The properties keep proptest's default configuration, so the
+//! `PROPTEST_CASES` environment variable raises their case count.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::ops::{Range, RangeInclusive};
 
+use bytes::Bytes;
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use serde::Serialize;
@@ -347,4 +354,113 @@ fn map_keys_stringify_as_before() {
     assert_eq!(serde_json::to_string(&maps).unwrap_err().to_string(), want("map"));
     assert_eq!(serde_json::to_string(&options).unwrap(), r#"{"3":1}"#);
     assert_eq!(serde_json::to_string(&units).unwrap_err().to_string(), want("null"));
+}
+
+// ---------------------------------------------------------------------------
+// Byte slices
+// ---------------------------------------------------------------------------
+
+/// The tree a byte slice walked element by element builds.
+fn byte_tree(bytes: &[u8]) -> JsonValue {
+    JsonValue::Seq(bytes.iter().map(|&b| JsonValue::U64(u64::from(b))).collect())
+}
+
+/// `value` prints as the reference walk of `tree` in both forms, its
+/// `Value` tree is `tree`, and `to_vec` is `to_string`'s bytes.
+fn assert_prints_as<T: Serialize + ?Sized>(value: &T, tree: &JsonValue) {
+    let text = serde_json::to_string(value).unwrap();
+    assert_eq!(text, compact(tree));
+    assert_eq!(serde_json::to_string_pretty(value).unwrap(), pretty(tree));
+    assert_eq!(serde_json::to_vec(value).unwrap(), text.into_bytes());
+    assert_eq!(&serde_json::to_value(value).unwrap(), tree);
+}
+
+/// Byte strings biased to the table's edges: 0, 9/10, 99/100 and 255.
+fn byte_string() -> impl Strategy<Value = Vec<u8>> {
+    let byte = prop_oneof![
+        Just(0u8),
+        Just(9u8),
+        Just(10u8),
+        Just(99u8),
+        Just(100u8),
+        Just(255u8),
+        any::<u8>(),
+        any::<u8>(),
+    ];
+    prop::collection::vec(byte, 0..300)
+}
+
+#[derive(Serialize)]
+struct Finding {
+    input: Vec<u8>,
+    tail: Bytes,
+    first: Option<Vec<u8>>,
+    runs: Vec<Vec<u8>>,
+    fixed: [u8; 3],
+}
+
+proptest! {
+    #[test]
+    fn byte_slices_match_reference_walk(bytes in byte_string(), split in 0usize..300) {
+        let tree = byte_tree(&bytes);
+        assert_prints_as(&bytes, &tree);
+        assert_prints_as(&bytes[..], &tree);
+        assert_prints_as(&&bytes[..], &tree);
+        assert_prints_as(&Bytes::from(bytes.clone()), &tree);
+        assert_prints_as(&Some(bytes.clone()), &tree);
+        let (head, tail) = bytes.split_at(split.min(bytes.len()));
+        let runs = vec![head.to_vec(), Vec::new(), tail.to_vec()];
+        let runs_tree = JsonValue::Seq(runs.iter().map(|run| byte_tree(run)).collect());
+        assert_prints_as(&runs, &runs_tree);
+        // Nested in a struct, at depth, beside the other byte carriers.
+        let finding = Finding {
+            input: bytes.clone(),
+            tail: Bytes::from(tail.to_vec()),
+            first: (!head.is_empty()).then(|| head.to_vec()),
+            runs,
+            fixed: [head.len() as u8, 0, 255],
+        };
+        let finding_tree = JsonValue::Map(vec![
+            ("input".to_owned(), tree),
+            ("tail".to_owned(), byte_tree(tail)),
+            (
+                "first".to_owned(),
+                if head.is_empty() { JsonValue::Null } else { byte_tree(head) },
+            ),
+            ("runs".to_owned(), runs_tree),
+            ("fixed".to_owned(), byte_tree(&[head.len() as u8, 0, 255])),
+        ]);
+        assert_prints_as(&vec![finding], &JsonValue::Seq(vec![finding_tree]));
+    }
+}
+
+#[test]
+fn every_byte_value_and_array_length_prints_as_before() {
+    let all: Vec<u8> = (0..=255).collect();
+    assert_prints_as(&all, &byte_tree(&all));
+    let all_array: [u8; 256] = std::array::from_fn(|i| i as u8);
+    assert_prints_as(&all_array, &byte_tree(&all));
+    assert_prints_as(&[0u8; 0], &byte_tree(&[]));
+    assert_prints_as(&[7u8], &byte_tree(&[7]));
+    assert_prints_as(&[100u8, 9, 10, 255, 0, 99, 1], &byte_tree(&[100, 9, 10, 255, 0, 99, 1]));
+    assert_prints_as(&Vec::<u8>::new(), &byte_tree(&[]));
+    assert_prints_as(&Bytes::new(), &byte_tree(&[]));
+    assert_prints_as(&None::<Vec<u8>>, &JsonValue::Null);
+    assert_prints_as(&vec![Vec::<u8>::new(); 2], &JsonValue::Seq(vec![byte_tree(&[]); 2]));
+    assert_eq!(serde_json::to_string(&[0u8, 255, 10]).unwrap(), "[0,255,10]");
+    assert_eq!(serde_json::to_string_pretty(&[0u8, 255]).unwrap(), "[\n  0,\n  255\n]");
+    assert_eq!(serde_json::to_string_pretty(&Vec::<u8>::new()).unwrap(), "[]");
+}
+
+#[test]
+fn byte_vector_map_keys_still_error() {
+    let seqs: BTreeMap<Vec<u8>, u8> = [(vec![1, 2], 1)].into();
+    let empty: BTreeMap<Vec<u8>, u8> = [(Vec::new(), 1)].into();
+    let want = "map key must be a string, got sequence";
+    for map in [&seqs, &empty] {
+        assert_eq!(serde_json::to_string(map).unwrap_err().to_string(), want);
+        assert_eq!(serde_json::to_string_pretty(map).unwrap_err().to_string(), want);
+        assert_eq!(serde_json::to_vec(map).unwrap_err().to_string(), want);
+        assert_eq!(serde_json::to_value(map).unwrap_err().to_string(), want);
+    }
 }
